@@ -7,7 +7,8 @@ Subcommands:
   spectrum FILE --ring R     nilradical and maximal ideals of a ring
 
 Exit codes: 0 all checks passed, 1 at least one failed record, 2 input
-error (syntax, unknown names, bad arity).
+error (syntax, unknown names, bad arity, negative depth, a non-module given
+to resolve).
 """
 
 import argparse
@@ -17,11 +18,11 @@ import sys
 from . import checks as checklib
 from . import dsl, spectrum
 from .amalgam import AmalgamObjects, amalgamation, duplication, image_plus_J
-from .modules import (Ideal, ideal_span, minimal_resolution, submodule_span,
-                      vector_from_coords)
+from .modules import (Ideal, Submodule, ideal_span, minimal_resolution,
+                      submodule_span, vector_from_coords)
 from .report import Report, input_digest
-from .rings import (FiniteRing, ModuleSpec, RingHom, product,
-                    trivial_extension, trunc_poly, verify_ring, zmod)
+from .rings import (BudgetExceededError, FiniteRing, ModuleSpec, RingHom,
+                    product, trivial_extension, trunc_poly, verify_ring, zmod)
 
 _CTOR_ARITY = {
     "zmod": (1, 1), "trunc_poly": (2, 2), "product": (2, 2),
@@ -254,6 +255,17 @@ def _as_amalgam(value):
     return value
 
 
+def _as_depth(job, args, index, default):
+    """The job's optional depth argument; a negative depth is an input error."""
+    if len(args) <= index:
+        return default
+    d = _as_int(args[index], "depth")
+    if d < 0:
+        raise dsl.DslSemanticError(
+            f"job {job.name!r}: depth must be non-negative, got {d}", job.line)
+    return d
+
+
 def run_job(builder, job, options):
     args = [builder.eval_expr(a) for a in job.args]
     name = job.name
@@ -272,28 +284,28 @@ def run_job(builder, job, options):
     if name == "idempotent":
         return checklib.verify_idempotent_claim(_as_amalgam(args[0]))
     if name == "betti":
-        d = _as_int(args[1], "depth") if len(args) > 1 else depth
+        d = _as_depth(job, args, 1, depth)
         return checklib.betti_experiment(_as_amalgam(args[0]), depth=d)
     if name == "thm31":
         am = _as_amalgam(args[0])
         kvec = _as_int_list(args[1], "k")
-        d = _as_int(args[2], "depth") if len(args) > 2 else depth
+        d = _as_depth(job, args, 2, depth)
         return checklib.verify_thm_3_1_objects(
             am, am.b.element(tuple(kvec)), depth=d)
     if name == "thm34":
         am = _as_amalgam(args[0])
         mvec = _as_int_list(args[1], "m")
-        d = _as_int(args[2], "depth") if len(args) > 2 else depth
+        d = _as_depth(job, args, 2, depth)
         return checklib.verify_thm_3_4_bookkeeping(
             am, am.a.element(tuple(mvec)), depth=d)
     if name == "gldim":
         ring = _as_ring(args[0], "ring")
-        d = _as_int(args[1], "depth") if len(args) > 1 else depth
+        d = _as_depth(job, args, 1, depth)
         return checklib.gldim_signature(ring, depth=d,
                                         budget=options.max_order)
     if name == "pd_profile":
         ring = _as_ring(args[0], "ring")
-        d = _as_int(args[1], "depth") if len(args) > 1 else depth
+        d = _as_depth(job, args, 1, depth)
         return checklib.pd_profile(ring, depth=d, budget=options.max_order)
     if name == "ringcheck":
         ring = _as_ring(args[0], "ring")
@@ -316,7 +328,7 @@ def run_job(builder, job, options):
         k_vecs = [vector_from_coords(am.b, p, tuple(r)) for r in k_mat]
         if name == "kernel_transfer":
             return checklib.verify_kernel_transfer(am, p, u_vecs, k_vecs)
-        d = _as_int(args[4], "depth") if len(args) > 4 else min(depth, 4)
+        d = _as_depth(job, args, 4, min(depth, 4))
         return checklib.verify_lemma_2_4(am, p, u_vecs, k_vecs, depth=d)
     raise BuildError(f"job {name!r} is not implemented")
 
@@ -352,7 +364,7 @@ def run_file(text, options, job_filter=None):
         try:
             result = run_job(builder, stmt, options)
             rec = result.to_dict()
-        except BuildError as exc:
+        except (BuildError, BudgetExceededError) as exc:
             rec = checklib.CheckResult(
                 stmt.name, "job executes on well-built objects",
                 "skipped", reason=str(exc),
@@ -406,6 +418,10 @@ def _emit(report, options):
 
 def main(argv=None):
     options = build_argparser().parse_args(argv)
+    if options.depth < 0:
+        print(f"input error: --depth must be non-negative, got {options.depth}",
+              file=sys.stderr)
+        return 2
     try:
         with open(options.file, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -445,6 +461,9 @@ def _run_resolve(text, options):
     target = builder.env.get(options.module)
     if target is None:
         raise dsl.DslSemanticError(f"unknown module {options.module!r}", 0)
+    if not isinstance(target, Submodule):
+        raise dsl.DslSemanticError(
+            f"{options.module!r} is not an ideal or submodule", 0)
     ring = target.ring
     local, mx = spectrum.is_local(ring, options.max_order)
     if not local:

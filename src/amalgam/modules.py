@@ -5,23 +5,23 @@ lives in (Z/N)^(p*d) where d is the ring rank.  Submodules are stored as the
 canonical Howell basis of that scaled image, which makes "same submodule"
 a structural comparison.
 
-Over a local ring the engine produces minimal free resolutions: alternate
-Nakayama generator selection with syzygy computation.  Two exact structural
-shortcuts keep the Betti blow-up of the paper-scale instances tractable:
-
-* generator selection against span(chosen) + M*X degenerates to greedy
-  row filtering when M annihilates X (then X is a vector space over the
-  residue field and the Howell rows of X are already independent);
-* the syzygy of a minimal generating tuple that M annihilates is exactly
-  the block sum M + ... + M (one copy per generator): any relation reduces
-  mod M to a linear relation over the residue field, and minimality forbids
-  a unit coefficient.  The block basis is assembled by placement instead of
-  elimination.
-
-Both facts are theorems about local rings, not approximations; tests compare
-them against the generic elimination path on small inputs.
+Over a local ring the engine produces minimal free resolutions as direct
+sums.  The target gets its Nakayama generators and their syzygy; from then
+on every syzygy is split by union-find over the slot supports of its
+Nakayama generators.  Groups with disjoint supports span a direct sum, and
+the generators of a direct sum are the union of each summand's, so the
+split is exact, and a minimal resolution of a direct sum is the sum of the
+summands' minimal resolutions (Avramov, Infinite free resolutions, 1998).
+Each connected component, restricted to its slots, is a summand type keyed
+by its canonical Howell basis.  A type is resolved once; a step carries
+only type multiplicities, with betti = sum mult(T) * mu(T) and the next
+multiplicities sum mult(T) * children(T).  The Betti numbers of the
+paper-scale instances grow geometrically, while the number of types stays
+at a handful.  Tests compare the engine with the plain syzygy/Nakayama
+loop on small inputs.
 """
 
+from collections import Counter
 from math import prod
 
 from .znlinalg import HowellBasis, ZnMatrix, kernel, span_builder
@@ -42,13 +42,6 @@ def vector_from_coords(ring, p, flat_coords):
     if len(flat_coords) != p * d:
         raise ValueError(f"expected {p * d} coordinates")
     return tuple(ring.element(flat_coords[k * d:(k + 1) * d]) for k in range(p))
-
-
-def vector_coords(vec):
-    out = []
-    for e in vec:
-        out.extend(e.coords)
-    return tuple(out)
 
 
 def flat_scaled(ring, vec):
@@ -80,52 +73,6 @@ def basis_action_rows(ring, vec):
         b = ring.basis_element(j)
         rows.append(flat_scaled(ring, vector_scale(b, vec)))
     return rows
-
-
-class SlotVector:
-    """Vector in R^n with a single (possibly) nonzero slot.
-
-    Behaves like a tuple of ring elements but stores O(1) data; the block
-    resolution steps produce matrices whose rows are all of this shape, and
-    materializing them densely would dominate memory at depth.
-    """
-
-    __slots__ = ("n", "slot", "elem", "_zero")
-
-    def __init__(self, n, slot, elem):
-        self.n = n
-        self.slot = slot
-        self.elem = elem
-        self._zero = elem.ring.zero()
-
-    def __len__(self):
-        return self.n
-
-    def __getitem__(self, idx):
-        if isinstance(idx, slice):
-            return tuple(self[i] for i in range(*idx.indices(self.n)))
-        if idx < 0:
-            idx += self.n
-        if not 0 <= idx < self.n:
-            raise IndexError(idx)
-        return self.elem if idx == self.slot else self._zero
-
-    def __iter__(self):
-        for i in range(self.n):
-            yield self.elem if i == self.slot else self._zero
-
-    def nonzeros(self):
-        if self.elem.is_zero():
-            return []
-        return [(self.slot, self.elem)]
-
-
-def nonzero_entries(vec):
-    """[(slot, element)] for the nonzero entries of a module vector."""
-    nz = getattr(vec, "nonzeros", None)
-    if nz is not None:
-        return nz()
-    return [(s, e) for s, e in enumerate(vec) if not e.is_zero()]
 
 
 # -- submodules ---------------------------------------------------------------
@@ -285,18 +232,6 @@ def syzygy(ring, gens, den=None):
 
 # -- Nakayama minimal generators ----------------------------------------------
 
-def _annihilates(max_ideal, rows_as_vectors):
-    m_elems = max_ideal.element_rows()
-    for vec in rows_as_vectors:
-        for e in vec:
-            if e.is_zero():
-                continue
-            for m in m_elems:
-                if not (m * e).is_zero():
-                    return False
-    return True
-
-
 def minimal_generators(sub, max_ideal, gens=None, den=None):
     """Greedy Nakayama selection of a minimal generating subset.
 
@@ -313,13 +248,14 @@ def minimal_generators(sub, max_ideal, gens=None, den=None):
     if den is not None:
         for row in den.basis.rows:
             b.insert(list(row))
+    # M*X is spanned by m*x over the rows of M and X; it is zero (and
+    # nothing is inserted) exactly when M annihilates X
     x_rows = sub.rows_as_vectors()
-    if not _annihilates(max_ideal, x_rows):
-        for m in max_ideal.element_rows():
-            for vec in x_rows:
-                prod_vec = vector_scale(m, vec)
-                if not vector_is_zero(prod_vec):
-                    b.insert(flat_scaled(ring, prod_vec))
+    for m in max_ideal.element_rows():
+        for vec in x_rows:
+            prod_vec = vector_scale(m, vec)
+            if not vector_is_zero(prod_vec):
+                b.insert(flat_scaled(ring, prod_vec))
     chosen = []
     for g in gens:
         if vector_is_zero(g):
@@ -352,17 +288,160 @@ def module_quotient_presentation(ring, num, den):
     return CokernelSpec(num, den)
 
 
-class Resolution:
-    """Chain of minimal presentation matrices with Betti numbers.
+class SummandType:
+    """One summand of a syzygy module, resolved once however often it occurs.
 
-    matrices[i] is d_{i+1}: rows are the chosen minimal generators of the
-    (i+1)-st syzygy, written in R^{betti[i]}.  verdict is ("exact", k) when
-    the resolution terminated with betti_{k+1} = 0, else ("at_least", depth).
+    module is a submodule of R^k (k = module.p); gens are its Nakayama
+    generators, so mu = len(gens) is its contribution to the next Betti
+    number.  resolve() fills in syz, the syzygy of gens inside R^mu (taken
+    modulo den for the resolution target), syz_gens, the Nakayama
+    generators of syz (the rows of the next differential), components, the
+    connected slot components of syz_gens as (slots, child type), and
+    children, the Counter of child types.
     """
 
-    __slots__ = ("ring", "max_ideal", "betti", "matrices", "syzygies",
-                 "structure", "verdict", "periodic", "target", "den",
-                 "mingens0")
+    __slots__ = ("module", "gens", "den", "syz", "syz_gens", "components",
+                 "children")
+
+    def __init__(self, module, gens, den=None):
+        self.module = module
+        self.gens = tuple(gens)
+        self.den = den
+        self.syz = self.syz_gens = self.components = self.children = None
+
+    def resolve(self, max_ideal, types):
+        ring = self.module.ring
+        self.syz = syzygy(ring, self.gens, den=self.den)
+        self.syz_gens = minimal_generators(
+            self.syz, max_ideal, gens=self.syz.rows_as_vectors())
+        self.components = [
+            (slots, _summand_type(ring, max_ideal, len(slots), group, types))
+            for slots, group in _slot_components(self.syz_gens)]
+        self.children = Counter(t for _, t in self.components)
+
+    def issues(self, max_ideal, where, cover):
+        """Violations of the type's own data (see Resolution.validate)."""
+        ring = self.module.ring
+        mu = len(self.gens)
+        span_gens = list(self.gens)
+        if self.den is not None:
+            span_gens += self.den.rows_as_vectors()
+        bad = []
+        if submodule_span(ring, self.module.p, span_gens).basis != self.module.basis:
+            bad.append(f"{where}: generators do not span the module")
+        if self.syz is None:
+            return bad
+        for row in self.syz_gens:
+            image = _combine(ring, row, self.gens, self.module.p)
+            if not (vector_is_zero(image) if self.den is None
+                    else self.den.contains_vector(image)):
+                bad.append(f"{where}: d o d != 0")
+                break
+        if not all(max_ideal.contains_element(e)
+                   for row in self.syz_gens for e in row if not e.is_zero()):
+            bad.append(f"{where}: a differential entry lies outside the maximal ideal")
+        if submodule_span(ring, mu, self.syz_gens).basis != self.syz.basis:
+            bad.append(f"{where}: the differential rows do not span the kernel")
+        image_size = self.module.size()
+        if self.den is not None:
+            image_size //= self.den.size()
+        if self.syz.size() * image_size != ring.order() ** mu:
+            bad.append(f"{where}: cardinality bookkeeping fails")
+        return bad + self._split_issues(where, cover)
+
+    def _split_issues(self, where, cover):
+        ring = self.module.ring
+        mu = len(self.gens)
+        owner = {}
+        for n, (slots, _) in enumerate(self.components):
+            for s in slots:
+                if s in owner or not 0 <= s < mu:
+                    return [f"{where}: component slots overlap or fall outside R^{mu}"]
+                owner[s] = n
+        if cover and len(owner) != mu:
+            return [f"{where}: components do not cover R^{mu}"]
+        groups = [[] for _ in self.components]
+        for row in self.syz_gens:
+            support = {s for s, e in enumerate(row) if not e.is_zero()}
+            homes = {owner.get(s) for s in support}
+            if len(homes) != 1 or None in homes:
+                return [f"{where}: a kernel generator straddles components"]
+            groups[homes.pop()].append(row)
+        for (slots, child), group in zip(self.components, groups):
+            restricted = [tuple(row[s] for s in slots) for row in group]
+            if submodule_span(ring, len(slots), restricted).basis != child.module.basis:
+                return [f"{where}: a component does not span its summand type"]
+        if prod(child.module.size() for _, child in self.components) != self.syz.size():
+            return [f"{where}: the components do not sum to the kernel"]
+        if self.children != Counter(t for _, t in self.components):
+            return [f"{where}: child multiplicities disagree with the components"]
+        return []
+
+
+def _combine(ring, coeffs, gens, p):
+    """sum coeffs[i] * gens[i] in R^p."""
+    acc = [ring.zero()] * p
+    for c, g in zip(coeffs, gens):
+        if not c.is_zero():
+            for s, e in enumerate(g):
+                acc[s] = acc[s] + c * e
+    return tuple(acc)
+
+
+def _slot_components(gens):
+    """Group nonzero vectors whose slot supports overlap, transitively.
+
+    Returns [(slots, restricted vectors)] with slots sorted; groups with
+    disjoint supports span a direct sum, and the generators of a direct
+    sum are the union of each summand's.
+    """
+    owner = {}
+
+    def find(s):
+        while owner.setdefault(s, s) != s:
+            owner[s] = owner[owner[s]]
+            s = owner[s]
+        return s
+
+    supports = [[s for s, e in enumerate(g) if not e.is_zero()] for g in gens]
+    for support in supports:
+        for s in support:
+            owner[find(s)] = find(support[0])
+    groups = {}
+    for g, support in zip(gens, supports):
+        groups.setdefault(find(support[0]), []).append(g)
+    members = {}
+    for s in sorted(owner):
+        members.setdefault(find(s), []).append(s)
+    return [(tuple(members[root]), [tuple(g[s] for s in members[root]) for g in group])
+            for root, group in groups.items()]
+
+
+def _summand_type(ring, max_ideal, k, vectors, types):
+    """The memoized type of span(vectors) in R^k, keyed by its Howell basis."""
+    module = submodule_span(ring, k, vectors)
+    t = types.get(module.basis)
+    if t is None:
+        gens = minimal_generators(module, max_ideal, gens=module.rows_as_vectors())
+        t = types[module.basis] = SummandType(module, gens)
+    return t
+
+
+class Resolution:
+    """Minimal free resolution as a direct sum of summand types.
+
+    root is the target as a SummandType (modulo den); multiplicities[i] is
+    the Counter of summand types of the (i+1)-st syzygy, so betti[i+1] is
+    the sum of mult * mu over it; types holds every type reached.
+    structure[i] is "generic" when step i+1 resolved a type for the first
+    time and "memo" when every type was already known.  verdict is
+    ("exact", k) when the resolution terminated with betti_{k+1} = 0, else
+    ("at_least", depth); periodic is (first step, period) of the first
+    syzygy module that repeats, or None.
+    """
+
+    __slots__ = ("ring", "max_ideal", "betti", "root", "types",
+                 "multiplicities", "structure", "verdict", "periodic")
 
     def __init__(self, **kw):
         for k, v in kw.items():
@@ -385,222 +464,46 @@ class Resolution:
     # -- validity -------------------------------------------------------------
 
     def validate(self):
-        """Re-check complex/exactness/minimality/cardinality; returns violations."""
-        bad = []
-        ring = self.ring
-        mats = self.matrices
-        zt = (0,) * ring.rank
-        # precompute the sparse view of every matrix once
-        nz = []
-        for i, mat in enumerate(mats):
-            amb = self.betti[i]
-            mat_nz = []
-            for row in mat:
-                if len(row) != amb:
-                    bad.append(f"d{i + 1} row width mismatch")
-                mat_nz.append(nonzero_entries(row))
-            nz.append(mat_nz)
-        # complex: each row of d_{i+1} is a syzygy of the rows of d_i
-        for i in range(1, len(mats)):
-            prev_nz = nz[i - 1]
-            ok = True
-            for row_nz in nz[i]:
-                acc = {}
-                for l, coeff in row_nz:
-                    for s, e in prev_nz[l]:
-                        prod = coeff * e
-                        if prod.coords == zt:
-                            continue
-                        cur = acc.get(s)
-                        acc[s] = prod if cur is None else cur + prod
-                if any(v.coords != zt for v in acc.values()):
-                    bad.append(f"d{i} o d{i + 1} != 0")
-                    ok = False
-                    break
-            if not ok:
-                break
-        # minimality: every nonzero entry of every d_i lies in M
-        for i, mat_nz in enumerate(nz):
-            clean = True
-            for row_nz in mat_nz:
-                for _, e in row_nz:
-                    if not self.max_ideal.contains_element(e):
-                        bad.append(
-                            f"d{i + 1} has an entry outside the maximal ideal")
-                        clean = False
-                        break
-                if not clean:
-                    break
-        # exactness: span of the rows of d_{i+1} equals the stored kernel
-        for i, syz in enumerate(self.syzygies):
-            if self.structure[i] == "block":
-                bad.extend(self._validate_block_step(i, nz[i]))
-                continue
-            span = submodule_span(ring, self.betti[i], list(mats[i]))
-            if span.basis != syz.basis:
-                bad.append(f"rows of d{i + 1} do not span the kernel at step {i + 1}")
-        # cardinality bookkeeping |ker| * |im| = |R|^rank at every step
-        order = ring.order()
-        for i, syz in enumerate(self.syzygies):
-            image_size = self.syzygies[i - 1].size() if i else self._step0_image_size()
-            if syz.size() * image_size != order ** self.betti[i]:
-                bad.append(f"cardinality bookkeeping fails at step {i + 1}")
-        return bad
+        """Re-check the resolution type by type; returns the violations.
 
-    def _step0_image_size(self):
-        num_size = self.target.size()
-        if self.den is not None:
-            return num_size // self.den.size()
-        return num_size
-
-    def _validate_block_step(self, i, mat_nz):
-        """Exactness for a block step.
-
-        A block step recorded the kernel as the sum M + ... + M; this is
-        exact when (a) the previous step's generators were annihilated by
-        M, (b) the matrix rows are single-slot placements of one fixed
-        generating family of M covering every slot, and (c) the stored
-        basis rows are exactly M's basis rows placed slot by slot.
+        For the target and for every summand type T, once: the generators
+        span T (modulo den), every kernel generator composes with them to 0
+        (complex), has its entries in M (minimality) and together they span
+        the stored kernel (exactness), with |ker| * |T| = |R|^mu
+        (cardinality).  The kernel splits exactly: component slots are
+        disjoint (and cover R^mu below the target), each component spans
+        its type and the component sizes multiply to |ker|.  Last, the
+        multiplicities and Betti numbers are recomputed from the children.
         """
-        bad = []
-        ring = self.ring
-        syz = self.syzygies[i]
-        slots = self.betti[i]
-        d = ring.rank
-        m_ideal = self.max_ideal
-        m_rows = self.max_ideal.element_rows()
-        prev_gens = self.matrices[i - 1] if i else self.mingens0
-        zt = (0,) * d
-        for gen in prev_gens:
-            for _, e in nonzero_entries(gen):
-                for m in m_rows:
-                    if (m * e).coords != zt:
-                        bad.append(
-                            f"block step {i + 1}: premise M*gens = 0 fails")
-                        return bad
-        per_slot = {}
-        for row_nz in mat_nz:
-            if len(row_nz) != 1:
-                bad.append(f"block step {i + 1}: row is not single-slot")
-                return bad
-            s, e = row_nz[0]
-            per_slot.setdefault(s, []).append(e)
-        if set(per_slot) != set(range(slots)):
-            bad.append(f"block step {i + 1}: some slot has no generators")
-            return bad
-        ref = tuple(e.coords for e in per_slot[0])
-        for s in range(1, slots):
-            if tuple(e.coords for e in per_slot[s]) != ref:
-                bad.append(f"block step {i + 1}: slots differ")
-                return bad
-        span = ideal_span(ring, per_slot[0])
-        if span.basis != m_ideal.basis:
-            bad.append(f"block step {i + 1}: slot span is not the maximal ideal")
-            return bad
-        # stored basis must be the slot placement of M's basis
-        basis = syz.basis
-        if isinstance(basis, BlockBasis):
-            if not (basis.inner == m_ideal.basis and basis.slots == slots
-                    and basis.width == d):
-                bad.append(
-                    f"block step {i + 1}: stored kernel is not the block sum")
-            return bad
-        basis_rows = basis.rows
-        mb = m_ideal.basis.rows
-        if len(basis_rows) != slots * len(mb):
-            bad.append(f"block step {i + 1}: stored kernel has the wrong rank")
-            return bad
-        idx = 0
-        for s in range(slots):
-            off = s * d
-            for mrow in mb:
-                row = basis_rows[idx]
-                idx += 1
-                if (row[off:off + d] != mrow or any(row[:off])
-                        or any(row[off + d:])):
-                    bad.append(
-                        f"block step {i + 1}: stored kernel is not the block sum")
-                    return bad
+        mx = self.max_ideal
+        bad = self.root.issues(mx, "target", cover=False)
+        for n, t in enumerate(self.types):
+            bad += t.issues(mx, f"type {n}", cover=True)
+        if len(self.root.gens) != self.betti[0]:
+            bad.append("betti_0 is not the number of target generators")
+        mult = Counter({self.root: 1})
+        for i, stored in enumerate(self.multiplicities):
+            if any(t.children is None for t in mult):
+                bad.append(f"step {i + 1} reaches an unresolved type")
+                break
+            mult = _next_multiplicities(mult)
+            if mult != stored:
+                bad.append(f"multiplicities disagree with the children at step {i + 1}")
+            if _betti(mult) != self.betti[i + 1]:
+                bad.append(f"betti_{i + 1} disagrees with the multiplicities")
         return bad
 
 
-class BlockBasis:
-    """Lazy Howell basis of ideal + ... + ideal (slot placement).
-
-    Placing the rows of a canonical basis slot by slot yields a matrix that
-    is already in Howell form, so the object can answer size, membership
-    and equality questions without materializing the (potentially huge)
-    row tuples; `.rows` realizes them on demand for small consumers.
-    """
-
-    __slots__ = ("modulus", "ambient", "inner", "slots", "width", "_rows")
-
-    def __init__(self, inner, slots, width):
-        object.__setattr__(self, "modulus", inner.modulus)
-        object.__setattr__(self, "inner", inner)
-        object.__setattr__(self, "slots", slots)
-        object.__setattr__(self, "width", width)
-        object.__setattr__(self, "ambient", slots * width)
-        object.__setattr__(self, "_rows", None)
-
-    def __setattr__(self, *a):
-        raise AttributeError("BlockBasis is immutable")
-
-    @property
-    def rows(self):
-        if self._rows is None:
-            out = []
-            w = self.width
-            total = self.ambient
-            for s in range(self.slots):
-                off = s * w
-                for row in self.inner.rows:
-                    out.append((0,) * off + tuple(row) + (0,) * (total - off - w))
-            object.__setattr__(self, "_rows", tuple(out))
-        return self._rows
-
-    def span_size(self):
-        return self.inner.span_size() ** self.slots
-
-    def contains(self, v):
-        if len(v) != self.ambient:
-            raise ValueError(f"vector length {len(v)} != ambient {self.ambient}")
-        w = self.width
-        for s in range(self.slots):
-            if not self.inner.contains(list(v[s * w:(s + 1) * w])):
-                return False
-        return True
-
-    def __eq__(self, other):
-        if isinstance(other, BlockBasis):
-            return (self.modulus, self.slots, self.width, self.inner) == \
-                   (other.modulus, other.slots, other.width, other.inner)
-        if isinstance(other, HowellBasis):
-            if (self.modulus, self.ambient) != (other.modulus, other.ambient):
-                return False
-            return self.rows == other.rows
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.modulus, self.slots, self.width, self.inner))
-
-    def __repr__(self):
-        return f"BlockBasis({self.slots} x inner of {len(self.inner.rows)} rows)"
+def _next_multiplicities(mult):
+    out = Counter()
+    for t, m in mult.items():
+        for c, n in t.children.items():
+            out[c] += m * n
+    return out
 
 
-def _block_basis(ring, ideal, slots):
-    """Basis of ideal + ... + ideal (slots copies) inside R^slots."""
-    return BlockBasis(ideal.basis, slots, ring.rank)
-
-
-def _annihilated_gens(ring, max_ideal, gens):
-    m_elems = max_ideal.element_rows()
-    for g in gens:
-        for _, e in nonzero_entries(g):
-            for m in m_elems:
-                if not (m * e).is_zero():
-                    return False
-    return True
+def _betti(mult):
+    return sum(m * len(t.gens) for t, m in mult.items())
 
 
 def minimal_resolution(ring, target, max_ideal, depth=DEFAULT_DEPTH):
@@ -609,63 +512,75 @@ def minimal_resolution(ring, target, max_ideal, depth=DEFAULT_DEPTH):
     target is a Submodule or a CokernelSpec; max_ideal must be the maximal
     ideal of the (local) ring.  Deterministic for a fixed generator order.
     """
+    if depth < 0:
+        raise ValueError(f"resolution depth must be non-negative, got {depth}")
     if isinstance(target, CokernelSpec):
         num, den = target.num, target.den
     else:
         num, den = target, None
-    m_mingens = None  # computed lazily for block steps
-
-    gens0 = minimal_generators(num, max_ideal, den=den)
-    betti = [len(gens0)]
-    matrices = []
-    syzygies = []
+    root = SummandType(num, minimal_generators(num, max_ideal, den=den), den)
+    types = {}
+    mult = Counter({root: 1})
+    betti = [len(root.gens)]
+    multiplicities = []
     structure = []
-    verdict = None
-    if betti[0] == 0:
-        verdict = ("exact", 0)
-    current_gens = gens0
-    current_den = den
-    step = 0
-    while verdict is None and step < depth:
-        step += 1
-        if current_den is None and _annihilated_gens(ring, max_ideal, current_gens):
-            # kernel of a minimal, M-annihilated generating tuple is M^r
-            r = len(current_gens)
-            syz = Submodule.from_scaled_basis(
-                ring, r, _block_basis(ring, max_ideal, r), generators=())
-            if m_mingens is None:
-                m_mingens = [g[0] for g in
-                             minimal_generators(max_ideal, max_ideal)]
-            next_gens = [SlotVector(r, s, m)
-                         for s in range(r) for m in m_mingens]
-            structure.append("block")
-        else:
-            syz = syzygy(ring, current_gens, den=current_den)
-            next_gens = minimal_generators(
-                syz, max_ideal, gens=syz.rows_as_vectors())
-            structure.append("generic")
-        syzygies.append(syz)
-        betti.append(len(next_gens))
-        matrices.append(tuple(next_gens))
-        if not next_gens:
-            verdict = ("exact", step - 1)
-            break
-        current_gens = next_gens
-        current_den = None
-    if verdict is None:
+    while betti[-1] and len(multiplicities) < depth:
+        fresh = [t for t in mult if t.children is None]
+        for t in fresh:
+            t.resolve(max_ideal, types)
+        structure.append("generic" if fresh else "memo")
+        mult = _next_multiplicities(mult)
+        multiplicities.append(mult)
+        betti.append(_betti(mult))
+    if betti[-1]:
         verdict = ("at_least", depth)
-    periodic = _detect_period(syzygies)
+    else:
+        verdict = ("exact", max(len(betti) - 2, 0))
     return Resolution(ring=ring, max_ideal=max_ideal, betti=tuple(betti),
-                      matrices=tuple(matrices), syzygies=tuple(syzygies),
+                      root=root, types=tuple(types.values()),
+                      multiplicities=tuple(multiplicities),
                       structure=tuple(structure), verdict=verdict,
-                      periodic=periodic, target=num, den=den,
-                      mingens0=tuple(gens0))
+                      periodic=_detect_period(ring, betti, root, multiplicities))
 
 
-def _detect_period(syzygies):
+def _detect_period(ring, betti, root, multiplicities):
+    """(first step, period) of the first repeated syzygy module, or None.
+
+    Equal syzygies have equal Betti ranks and equal type multiplicities, so
+    those are compared first; only on a match are the modules themselves
+    compared, as the set of their components placed in the ambient free
+    module.  The placement follows the order of the Nakayama generators,
+    which is the order of their Howell pivots.
+    """
+    coarse = [(b, frozenset(m.items())) for b, m in zip(betti, multiplicities)]
+    if _first_repeat(coarse) is None:
+        return None
+    d = ring.rank
+    placed = root.components
+    keys = []
+    for b in betti[:len(multiplicities)]:
+        keys.append((b, frozenset((t, slots) for slots, t in placed)))
+        if len(keys) == len(multiplicities):
+            break
+        order = sorted((slots[j // d] * d + j % d, n, g)
+                       for n, (slots, t) in enumerate(placed)
+                       for g, j in enumerate(_pivots(t.gens)))
+        pos = {(n, g): i for i, (_, n, g) in enumerate(order)}
+        placed = [(tuple(pos[n, s] for s in sub), child)
+                  for n, (_, t) in enumerate(placed)
+                  for sub, child in t.components]
+    return _first_repeat(keys)
+
+
+def _pivots(gens):
+    """Coordinate index of the first nonzero coordinate of each vector."""
+    return [next(s * len(e.coords) + j for s, e in enumerate(g)
+                 for j, x in enumerate(e.coords) if x) for g in gens]
+
+
+def _first_repeat(keys):
     seen = {}
-    for i, s in enumerate(syzygies):
-        key = (s.p, s.basis)
+    for i, key in enumerate(keys):
         if key in seen:
             return (seen[key] + 1, i - seen[key])
         seen[key] = i
@@ -676,7 +591,7 @@ def pd_report(ring, target, max_ideal, depth=DEFAULT_DEPTH):
     """Projective-dimension verdict: ("exact", k) or ("at_least", depth).
 
     "at_least" is an honest lower bound, never upgraded to infinity; use
-    minimal_resolution for the full Betti/matrix data.
+    minimal_resolution for the full Betti data.
     """
     res = minimal_resolution(ring, target, max_ideal, depth)
     return res.verdict
@@ -700,8 +615,3 @@ def global_dimension_signature(ring, max_ideal, depth=DEFAULT_DEPTH):
     """pd verdict of the residue field (= global dimension for local rings)."""
     return minimal_resolution(ring, residue_field_target(ring, max_ideal),
                               max_ideal, depth)
-
-
-def verdict_string(res):
-    kind, val = res.verdict
-    return f"pd = {val}" if kind == "exact" else f"pd >= {val}"

@@ -409,18 +409,6 @@ def product(r, s):
     return ring
 
 
-def product_embeddings(r, s, ring):
-    """The two coordinate projections of a product ring built by product()."""
-    dr, ds = r.rank, s.rank
-    proj_r = RingHom(ring, r,
-                     [r.basis_element(i).coords if i < dr else (0,) * dr
-                      for i in range(dr + ds)], check=False)
-    proj_s = RingHom(ring, s,
-                     [(0,) * ds if i < dr else s.basis_element(i - dr).coords
-                      for i in range(dr + ds)], check=False)
-    return proj_r, proj_s
-
-
 class ModuleSpec:
     """Finitely generated module over a ring, for trivial extensions.
 

@@ -73,3 +73,28 @@ def brute_maximal_ideals(r):
     full = frozenset(e.coords for e in elems)
     proper = [s for s in ideals if s != full]
     return {s for s in proper if not any(s < t for t in proper)}
+
+
+def dense_resolution(ring, target, max_ideal, depth):
+    """Minimal resolution by the plain syzygy / Nakayama loop: no direct-sum
+    split, no memo.  Returns (betti, verdict, periodic, kernel sizes)."""
+    from amalgam.modules import CokernelSpec, minimal_generators, syzygy
+    num, den = ((target.num, target.den) if isinstance(target, CokernelSpec)
+                else (target, None))
+    gens = minimal_generators(num, max_ideal, den=den)
+    betti, kernels = [len(gens)], []
+    while betti[-1] and len(kernels) < depth:
+        syz = syzygy(ring, gens, den=den if not kernels else None)
+        kernels.append(syz)
+        gens = minimal_generators(syz, max_ideal, gens=syz.rows_as_vectors())
+        betti.append(len(gens))
+    verdict = (("exact", max(len(betti) - 2, 0)) if not betti[-1]
+               else ("at_least", depth))
+    seen, periodic = {}, None
+    for i, syz in enumerate(kernels):
+        key = (syz.p, syz.basis)
+        if key in seen:
+            periodic = (seen[key] + 1, i - seen[key])
+            break
+        seen[key] = i
+    return betti, verdict, periodic, [syz.size() for syz in kernels]

@@ -207,14 +207,13 @@ def test_criterion_08_resolution_validity(instances):
                 ok = False
                 announce(8, False, f"{name}: {issues}")
             checked_resolutions += 1
-            # Nakayama determinism on every touched module of modest size
+            # Nakayama determinism on the target and on every summand
+            # type's module and syzygy (all small, whatever the Betti size)
             touched = [(target.p, list(target.generators))]
-            for syz in res.syzygies:
-                rows = None
-                if len(syz.basis.rows) <= 60:
-                    rows = syz.rows_as_vectors()
-                if rows:
-                    touched.append((syz.p, rows))
+            for t in res.types:
+                for sub in (t.module, t.syz):
+                    if sub is not None:
+                        touched.append((sub.p, sub.rows_as_vectors()))
             for p, gens in touched:
                 if not gens:
                     continue

@@ -167,3 +167,37 @@ def test_failure_reports_carry_witnesses(capsys):
     payload = json.loads(capsys.readouterr().out)
     failing = [c for c in payload["checks"] if c["status"] == "fail"]
     assert failing and all(c["reason"] for c in failing)
+
+
+@pytest.mark.parametrize("text, args", [
+    ("A = zmod(4)\nI = ideal(A, [[2]])\nD = duplication(A, I)\n"
+     "job betti(D, -3)\n", []),
+    ("A = zmod(4)\njob gldim(A, -1)\n", []),
+    ("A = zmod(4)\njob gldim(A)\n", ["--depth", "-2"]),
+], ids=["betti", "gldim", "--depth"])
+def test_negative_depth_is_an_input_error(capsys, tmp_path, text, args):
+    path = tmp_path / "negative.ring"
+    path.write_text(text)
+    assert run_cli(["check", str(path), "--format", "json"] + args) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "input error" in out.err and "depth" in out.err
+
+
+def test_resolve_of_a_ring_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "ring_only.ring"
+    path.write_text("A = zmod(4)\n")
+    assert run_cli(["resolve", str(path), "--module", "A"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "input error" in out.err and "'A'" in out.err
+
+
+def test_budget_error_in_a_job_is_a_skipped_record(capsys, tmp_path):
+    path = tmp_path / "too_big.ring"
+    path.write_text("A = trunc_poly(2, 17)\njob gldim(A, 3)\n")
+    assert run_cli(["check", str(path), "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    [record] = payload["checks"]
+    assert record["name"] == "gldim" and record["status"] == "skipped"
+    assert "65536" in record["reason"]

@@ -1,9 +1,12 @@
 """Span/syzygy/resolution engine, cross-checked by exhaustive enumeration."""
 
 import random
+from collections import Counter
 from itertools import product as iproduct
+from math import prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from amalgam.rings import trunc_poly, zmod
 from amalgam.modules import (
@@ -21,6 +24,8 @@ from amalgam.modules import (
 from amalgam.spectrum import is_local
 from amalgam import amalgam as am
 from amalgam.znlinalg import enumerate_span
+
+from oracles import dense_resolution
 
 
 def submodule_elements(sub):
@@ -202,6 +207,8 @@ def test_resolution_free_module():
     assert res.betti[0] == 1 and res.betti[1] == 0
     assert res.verdict == ("exact", 0)
     assert is_projective(z4, free, mx)
+    with pytest.raises(ValueError):
+        minimal_resolution(z4, free, mx, depth=-1)
 
 
 def test_pd_reports():
@@ -231,21 +238,89 @@ def test_zero_j_module_resolution_positive_betti():
     assert res_mj.validate() == []
 
 
-def test_block_fast_path_agrees_with_generic_syzygy():
-    # the structural shortcut (kernel of an M-annihilated minimal tuple is
-    # M^r) must coincide with the elimination path on small cases
+def _engine_summary(res):
+    """Betti table, verdict, periodic and per-step kernel sizes."""
+    sizes = []
+    mult = Counter({res.root: 1})
+    for nxt in res.multiplicities:
+        sizes.append(prod(t.syz.size() ** m for t, m in mult.items()))
+        mult = nxt
+    return list(res.betti), res.verdict, res.periodic, sizes
+
+
+def _assert_matches_dense(ring, target, mx, depth):
+    res = minimal_resolution(ring, target, mx, depth)
+    assert _engine_summary(res) == dense_resolution(ring, target, mx, depth)
+    assert res.validate() == []
+
+
+@pytest.mark.parametrize("name", ["dup_z4", "tower_dim1", "tower_dim2",
+                                  "trunc_t3", "trunc_t4"])
+@pytest.mark.parametrize("kind", ["mj", "zero_j", "residue_field"])
+def test_engine_agrees_with_dense_oracle_on_instances(instances, name, kind):
+    inst = instances[name]
+    _, mx = inst.ring_local()
+    target = (residue_field_target(inst.ring, mx) if kind == "residue_field"
+              else getattr(inst, kind))
+    # depth 3 keeps the dense oracle on tower_dim2 to Betti 256
+    _assert_matches_dense(inst.ring, target, mx, 3 if name == "tower_dim2" else 4)
+
+
+_SMALL_RINGS = (zmod(4), zmod(8), zmod(9), trunc_poly(2, 2), trunc_poly(2, 3),
+                dup_ring().ring)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_engine_agrees_with_dense_oracle_on_random_submodules(data):
+    ring = data.draw(st.sampled_from(_SMALL_RINGS))
+    elems = list(ring.elements())
+    p = data.draw(st.integers(1, 3))
+    entries = st.lists(st.sampled_from(elems), min_size=p, max_size=p)
+    gens = data.draw(st.lists(entries, min_size=1, max_size=3))
+    _, mx = is_local(ring)
+    target = submodule_span(ring, p, gens)
+    if data.draw(st.booleans()):
+        # a quotient by multiples of the generators, which lie in the span
+        scales = data.draw(st.lists(st.sampled_from(elems),
+                                    min_size=len(gens), max_size=len(gens)))
+        den = submodule_span(ring, p, [tuple(c * e for e in g)
+                                       for c, g in zip(scales, gens)])
+        target = module_quotient_presentation(ring, target, den)
+    _assert_matches_dense(ring, target, mx, data.draw(st.integers(0, 4)))
+
+
+def _resolved_type(depth=3):
     obj = dup_ring()
-    r = obj.ring
-    _, mx = is_local(r)
-    res = minimal_resolution(r, obj.mj, mx, depth=3)
-    for i, kind in enumerate(res.structure):
-        if kind != "block":
-            continue
-        gens = list(res.matrices[i - 1]) if i else None
-        if gens is None:
-            gens = minimal_generators(obj.mj, mx)
-        generic = syzygy(r, gens)
-        assert generic.basis == res.syzygies[i].basis
+    _, mx = is_local(obj.ring)
+    res = minimal_resolution(obj.ring, obj.mj, mx, depth=depth)
+    assert res.validate() == []
+    return res, next(t for t in res.types if t.syz is not None)
+
+
+def test_validate_reports_a_corrupted_syzygy_generator():
+    res, t = _resolved_type()
+    row = list(t.syz_gens[0])
+    row[0] = row[0] + res.ring.one()
+    t.syz_gens[0] = tuple(row)
+    where = f"type {res.types.index(t)}:"
+    assert any(msg.startswith(where) for msg in res.validate())
+
+
+def test_validate_reports_a_corrupted_child_multiplicity():
+    res, t = _resolved_type()
+    child = next(iter(t.children))
+    t.children[child] += 1
+    issues = res.validate()
+    assert any("child multiplicities" in msg for msg in issues)
+    assert any("multiplicities disagree" in msg for msg in issues)
+
+
+def test_validate_reports_a_corrupted_component_basis():
+    res, t = _resolved_type()
+    slots, child = t.components[0]
+    child.module = submodule_span(res.ring, len(slots), [])
+    assert any("does not span its summand type" in msg for msg in res.validate())
 
 
 def test_quotient_presentation():
