@@ -89,6 +89,14 @@ def image_plus_J(f, j):
     return sub, incl
 
 
+def ideal_in_subring(incl, elems):
+    """The ideal of incl's source generated by elements of its image."""
+    sub, b = incl.source, incl.target
+    solver = _SubgroupCoords(b, [b.element(row) for row in incl.matrix],
+                             sub.orders)
+    return ideal_span(sub, [sub.element(solver.coords(e)) for e in elems])
+
+
 class AmalgamObjects:
     """The amalgamation ring together with its canonical maps and ideals."""
 
@@ -152,6 +160,7 @@ class AmalgamObjects:
         self.subring, self.subring_incl = image_plus_J(hom, ideal_j)
         self._j_in_subring = None
         self._ring_local = None
+        self._hypotheses = None  # cached by checks.hypotheses_of
 
     def ring_local(self):
         """(flag, maximal ideal) of the constructed ring, cached."""
@@ -198,15 +207,8 @@ class AmalgamObjects:
     def j_in_subring(self):
         """J as an ideal of the subring f(A) + J."""
         if self._j_in_subring is None:
-            sub, incl = self.subring, self.subring_incl
-            solver = _SubgroupCoords(
-                self.b,
-                [self.b.element(row) for row in incl.matrix],
-                sub.orders)
-            gens = []
-            for e in self.j_group_basis:
-                gens.append(sub.element(solver.coords(e)))
-            self._j_in_subring = ideal_span(sub, gens)
+            self._j_in_subring = ideal_in_subring(self.subring_incl,
+                                                  self.j_group_basis)
         return self._j_in_subring
 
     def additive_span(self, p, vectors):

@@ -20,10 +20,11 @@ import time
 from .rings import DEFAULT_MAX_ORDER, BudgetExceededError
 from .modules import (CokernelSpec, ideal_span, is_projective,
                       minimal_generators, minimal_resolution,
-                      submodule_span, syzygy, vector_is_zero, vector_scale)
+                      submodule_span, syzygy)
 from . import spectrum
-from .amalgam import (AmalgamObjects, hom_power, ideal_power,
-                      power_slot_element, ring_power)
+from .amalgam import (AmalgamObjects, hom_power, ideal_in_subring,
+                      ideal_power, image_plus_J, power_slot_element,
+                      ring_power)
 
 DEFAULT_DEPTH = 6
 
@@ -72,10 +73,6 @@ def _coords_list(elem):
     return list(elem.coords)
 
 
-def _vector_coords(vec):
-    return [list(e.coords) for e in vec]
-
-
 class HypothesisReport:
     """Evaluated hypothesis set for an amalgamation instance."""
 
@@ -97,7 +94,7 @@ class HypothesisReport:
 def check_hypotheses(ring_a, ring_b, hom, ideal_j, budget=DEFAULT_MAX_ORDER):
     """Evaluate the hypothesis set on raw pieces; never raises on failure."""
     witnesses = {}
-    a_local, _ = spectrum.is_local(ring_a, budget)
+    a_local, m_a = spectrum.is_local(ring_a, budget)
     if not a_local:
         nontrivial = [e for e in spectrum.idempotents(ring_a, budget)
                       if not e.is_zero() and e != ring_a.one()]
@@ -120,7 +117,6 @@ def check_hypotheses(ring_a, ring_b, hom, ideal_j, budget=DEFAULT_MAX_ORDER):
             break
     fmj_zero = True
     if a_local:
-        _, m_a = spectrum.is_local(ring_a, budget)
         for m in m_a.element_rows():
             fm = hom(m)
             for g in j_rows:
@@ -137,12 +133,8 @@ def check_hypotheses(ring_a, ring_b, hom, ideal_j, budget=DEFAULT_MAX_ORDER):
     count = None
     subring_local = None
     try:
-        from .amalgam import image_plus_J, _SubgroupCoords
         sub, incl = image_plus_J(hom, ideal_j)
-        solver = _SubgroupCoords(ring_b,
-                                 [ring_b.element(row) for row in incl.matrix],
-                                 sub.orders)
-        j_in_c = ideal_span(sub, [sub.element(solver.coords(e)) for e in j_rows])
+        j_in_c = ideal_in_subring(incl, j_rows)
         subring_local, m_c = spectrum.is_local(sub, budget)
         if subring_local:
             count = len(minimal_generators(j_in_c, m_c))
@@ -173,7 +165,10 @@ def check_hypotheses(ring_a, ring_b, hom, ideal_j, budget=DEFAULT_MAX_ORDER):
 
 
 def hypotheses_of(am):
-    return check_hypotheses(am.a, am.b, am.f, am.j, am.budget)
+    """check_hypotheses on the bundle's pieces, cached on the bundle."""
+    if am._hypotheses is None:
+        am._hypotheses = check_hypotheses(am.a, am.b, am.f, am.j, am.budget)
+    return am._hypotheses
 
 
 def verify_remark_2_1(am):
@@ -299,32 +294,12 @@ def _kappa_vanishes(am, kerv, k_vectors):
 
 def _prune_to_a_minimal(am, u_vectors):
     """Keep index subset with u-parts an A-minimal generating family."""
-    a = am.a
-    u_span = submodule_span(a, len(u_vectors[0]), u_vectors)
+    u_span = submodule_span(am.a, len(u_vectors[0]), u_vectors)
+    chosen = minimal_generators(u_span, am.a_max, gens=u_vectors)
     kept_idx = []
-    kept_gens = []
-    from .znlinalg import span_builder
-    builder = span_builder(a.char, u_span.p * a.rank)
-    # seed with M * U
-    m_rows = am.a_max.element_rows()
-    for m in m_rows:
-        for row in u_span.rows_as_vectors():
-            prod_vec = vector_scale(m, row)
-            if not vector_is_zero(prod_vec):
-                flat = []
-                for e in prod_vec:
-                    flat.extend(a.scaled(e.coords))
-                builder.insert(flat)
-    from .modules import basis_action_rows, flat_scaled
     for idx, g in enumerate(u_vectors):
-        if vector_is_zero(g):
-            continue
-        if builder.contains(flat_scaled(a, g)):
-            continue
-        kept_idx.append(idx)
-        kept_gens.append(g)
-        for row in basis_action_rows(a, g):
-            builder.insert(row)
+        if len(kept_idx) < len(chosen) and tuple(g) == chosen[len(kept_idx)]:
+            kept_idx.append(idx)
     return kept_idx
 
 

@@ -456,6 +456,18 @@ def _build_env(text, options):
     return builder
 
 
+def _single_record_report(text, options, name, claim, run):
+    """Report of the one record run() returns; a budget error skips it."""
+    try:
+        result = run()
+    except BudgetExceededError as exc:
+        result = checklib.CheckResult(name, claim, "skipped", reason=str(exc))
+    rec = result.to_dict()
+    rec["sort_key"] = (rec["name"], 0)
+    return Report(input_digest(text), options.seed, [rec],
+                  with_timings=options.timings)
+
+
 def _run_resolve(text, options):
     builder = _build_env(text, options)
     target = builder.env.get(options.module)
@@ -465,23 +477,23 @@ def _run_resolve(text, options):
         raise dsl.DslSemanticError(
             f"{options.module!r} is not an ideal or submodule", 0)
     ring = target.ring
-    local, mx = spectrum.is_local(ring, options.max_order)
-    if not local:
-        rec = checklib.CheckResult(
-            "resolve", "minimal resolutions need a local ring", "fail",
-            reason="ring is not local").to_dict()
-    else:
+    claim = f"minimal resolution of {options.module}"
+
+    def run():
+        local, mx = spectrum.is_local(ring, options.max_order)
+        if not local:
+            return checklib.CheckResult(
+                "resolve", "minimal resolutions need a local ring", "fail",
+                reason="ring is not local")
         res = minimal_resolution(ring, target, mx, depth=options.depth)
         kind, value = res.verdict
-        rec = checklib.CheckResult(
-            "resolve", f"minimal resolution of {options.module}", "pass",
+        return checklib.CheckResult(
+            "resolve", claim, "pass",
             witnesses={"betti": list(res.betti),
                        "verdict": f"{kind}:{value}",
                        "periodic": res.periodic,
-                       "resolution_issues": res.validate()}).to_dict()
-    rec["sort_key"] = (rec["name"], 0)
-    return Report(input_digest(text), options.seed, [rec],
-                  with_timings=options.timings)
+                       "resolution_issues": res.validate()})
+    return _single_record_report(text, options, "resolve", claim, run)
 
 
 def _run_spectrum(text, options):
@@ -490,21 +502,21 @@ def _run_spectrum(text, options):
     if value is None:
         raise dsl.DslSemanticError(f"unknown ring {options.ring!r}", 0)
     ring = _as_ring(value, "ring")
-    nil = spectrum.nilradical(ring)
-    mx = spectrum.maximal_ideals(ring, options.max_order)
-    rec = checklib.CheckResult(
-        "spectrum", f"nilradical and maximal ideals of {options.ring}",
-        "pass",
-        witnesses={
-            "order": ring.order(),
-            "nilradical_size": nil.size(),
-            "maximal_ideal_count": len(mx),
-            "maximal_ideal_sizes": [m.size() for m in mx],
-            "local": len(mx) == 1,
-        }).to_dict()
-    rec["sort_key"] = (rec["name"], 0)
-    return Report(input_digest(text), options.seed, [rec],
-                  with_timings=options.timings)
+    claim = f"nilradical and maximal ideals of {options.ring}"
+
+    def run():
+        nil = spectrum.nilradical(ring)
+        mx = spectrum.maximal_ideals(ring, options.max_order)
+        return checklib.CheckResult(
+            "spectrum", claim, "pass",
+            witnesses={
+                "order": ring.order(),
+                "nilradical_size": nil.size(),
+                "maximal_ideal_count": len(mx),
+                "maximal_ideal_sizes": [m.size() for m in mx],
+                "local": len(mx) == 1,
+            })
+    return _single_record_report(text, options, "spectrum", claim, run)
 
 
 if __name__ == "__main__":

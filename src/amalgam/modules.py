@@ -453,9 +453,6 @@ class Resolution:
     def betti_table(self):
         return list(self.betti)
 
-    def pd_verdict(self):
-        return self.verdict
-
     def __repr__(self):
         kind, val = self.verdict
         v = f"pd={val}" if kind == "exact" else f"pd>={val}"

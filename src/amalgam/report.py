@@ -75,9 +75,13 @@ class Report:
                     row = " ".join(str(v) for v in value)
                     lines.append(f"{'':<{width}}           {key}: {row}")
             lines.append("")
-        failed = len(self.failed)
         total = len(self.checks)
-        lines.append(f"{total - failed}/{total} checks passed")
+        passed = sum(c["status"] == "pass" for c in self.checks)
+        skipped = sum(c["status"] == "skipped" for c in self.checks)
+        summary = f"{passed}/{total} checks passed"
+        if skipped:
+            summary += f", {skipped} skipped"
+        lines.append(summary)
         return "\n".join(lines) + "\n"
 
 

@@ -297,13 +297,6 @@ class RingHom:
                 for i in range(ring.rank)]
         return cls(ring, ring, rows, check=False)
 
-    def compose(self, other):
-        """self after other (other: A -> B, self: B -> C)."""
-        if other.target is not self.source:
-            raise HomomorphismError("composition mismatch")
-        rows = [self.apply_coords(r) for r in other.matrix]
-        return RingHom(other.source, self.target, rows, check=False)
-
 
 class RingReport:
     """Outcome of verify_ring: ok flag plus failure witnesses."""

@@ -75,6 +75,13 @@ def brute_maximal_ideals(r):
     return {s for s in proper if not any(s < t for t in proper)}
 
 
+def brute_is_local(r):
+    """A finite commutative ring is local iff 0 and 1 are its only
+    idempotents; checked over every element."""
+    one = r.one()
+    return all(x.is_zero() or x == one for x in r.elements() if x * x == x)
+
+
 def dense_resolution(ring, target, max_ideal, depth):
     """Minimal resolution by the plain syzygy / Nakayama loop: no direct-sum
     split, no memo.  Returns (betti, verdict, periodic, kernel sizes)."""

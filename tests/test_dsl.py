@@ -194,10 +194,64 @@ def test_resolve_of_a_ring_is_an_input_error(capsys, tmp_path):
 
 
 def test_budget_error_in_a_job_is_a_skipped_record(capsys, tmp_path):
+    # A is not local, so the hypotheses job enumerates A (order 8) for an
+    # idempotent witness, past the budget of 4
     path = tmp_path / "too_big.ring"
+    path.write_text("A = product(zmod(2), zmod(4))\n"
+                    "I = ideal(A, [[0, 2]])\n"
+                    "D = duplication(A, I)\n"
+                    "job hypotheses(D)\n")
+    assert run_cli(["check", str(path), "--format", "json",
+                    "--max-order", "4"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    [record] = payload["checks"]
+    assert record["name"] == "hypotheses" and record["status"] == "skipped"
+    assert record["reason"] == "ring of order 8 exceeds enumeration budget 4"
+
+
+def test_gldim_of_a_ring_past_the_budget_needs_no_enumeration(capsys,
+                                                               tmp_path):
+    # order 2^17 > the default budget; locality enumerates only R/Nil(R)
+    path = tmp_path / "big.ring"
     path.write_text("A = trunc_poly(2, 17)\njob gldim(A, 3)\n")
     assert run_cli(["check", str(path), "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     [record] = payload["checks"]
-    assert record["name"] == "gldim" and record["status"] == "skipped"
-    assert "65536" in record["reason"]
+    assert record["name"] == "gldim" and record["status"] == "pass"
+    assert record["witnesses"]["betti"] == [1, 1, 1, 1]
+
+
+_TWO_FIELDS = "A = product(zmod(2), zmod(2))\nI = ideal(A, [[1, 0]])\n"
+
+
+@pytest.mark.parametrize("args, name", [
+    (["resolve", "--module", "I"], "resolve"),
+    (["spectrum", "--ring", "A"], "spectrum"),
+], ids=["resolve", "spectrum"])
+def test_budget_error_in_resolve_and_spectrum_is_a_skipped_record(
+        capsys, tmp_path, args, name):
+    path = tmp_path / "two_fields.ring"
+    path.write_text(_TWO_FIELDS)
+    assert run_cli([args[0], str(path)] + args[1:] +
+                   ["--format", "json", "--max-order", "2"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    [record] = payload["checks"]
+    assert record["name"] == name and record["status"] == "skipped"
+    assert "exceeds the enumeration budget" in record["reason"]
+
+
+def test_text_summary_counts_skipped_records_apart(capsys, tmp_path):
+    path = tmp_path / "two_fields.ring"
+    path.write_text(_TWO_FIELDS)
+    assert run_cli(["spectrum", str(path), "--ring", "A",
+                    "--max-order", "2"]) == 0
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last == "0/1 checks passed, 1 skipped"
+    assert run_cli(["spectrum", str(path), "--ring", "A"]) == 0
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last == "1/1 checks passed"
+    # the corpus's one skipped record: remark21 on a declaration that
+    # failed to build
+    assert run_cli(["check", corpus_path("bad_improper_ideal.ring")]) == 1
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last == "0/2 checks passed, 1 skipped"

@@ -16,6 +16,7 @@ from amalgam.rings import (
     verify_ring,
     zmod,
 )
+from amalgam.amalgam import duplication
 from amalgam.modules import ideal_span
 from amalgam.spectrum import (
     idempotents,
@@ -31,7 +32,7 @@ from amalgam.spectrum import (
 )
 
 
-from oracles import brute_maximal_ideals, ideal_elements
+from oracles import brute_is_local, brute_maximal_ideals, ideal_elements
 
 
 def test_zmod_shapes():
@@ -180,6 +181,42 @@ def test_maximal_ideals_against_bruteforce():
         mine = {frozenset(ideal_elements(m)) for m in maximal_ideals(ring)}
         brute = brute_maximal_ideals(ring)
         assert mine == brute, ring.name
+
+
+def _locality_rings(instances):
+    z4 = zmod(4)
+    t3 = trunc_poly(2, 3)
+    x = t3.basis_element(1)
+    z12 = zmod(12)
+    p24 = product(zmod(2), zmod(4))
+    rings = [z4, zmod(6), z12, p24,
+             product(trunc_poly(2, 2), zmod(2)),
+             quotient_ring(t3, ideal_span(t3, [x * x]))[0],
+             quotient_ring(z12, ideal_span(z12, [z12.from_int(4)]))[0],
+             quotient_ring(p24, ideal_span(p24, [p24.element((0, 2))]))[0]]
+    for am in instances.values():
+        rings += [am.ring, am.a, am.b, am.subring]
+    return rings
+
+
+def test_is_local_against_bruteforce(instances):
+    for ring in _locality_rings(instances):
+        local, mx = is_local(ring)
+        assert local == brute_is_local(ring), ring.name
+        brute = brute_maximal_ideals(ring)
+        if local:
+            assert brute == {frozenset(ideal_elements(mx))}, ring.name
+        else:
+            assert mx is None and len(brute) > 1, ring.name
+
+
+def test_is_local_past_the_budget():
+    # order 2^18 > the default budget 65536; only R/Nil(R) is enumerated
+    a = trunc_poly(2, 12)
+    obj = duplication(a, ideal_span(a, [a.basis_element(6)]))
+    assert obj.ring.order() == 2 ** 18
+    local, mx = is_local(obj.ring)
+    assert local and mx.size() == 131072
 
 
 def test_maximal_ideals_budget_and_crt():
