@@ -19,7 +19,7 @@ from .znlinalg import ZnMatrix, solve, span_builder
 from .rings import (DEFAULT_MAX_ORDER, FiniteRing, RingConstructionError,
                     RingElement, RingHom)
 from .abgroups import subgroup_decomposition
-from .modules import ideal_span
+from .modules import ideal_span, minimal_generators
 from . import spectrum
 
 
@@ -159,6 +159,7 @@ class AmalgamObjects:
         self.mj = self.mj_of(self.a_max) if self.a_local else None
         self.subring, self.subring_incl = image_plus_J(hom, ideal_j)
         self._j_in_subring = None
+        self._j_subring_generators = None
         self._ring_local = None
         self._hypotheses = None  # cached by checks.hypotheses_of
 
@@ -210,6 +211,21 @@ class AmalgamObjects:
             self._j_in_subring = ideal_in_subring(self.subring_incl,
                                                   self.j_group_basis)
         return self._j_in_subring
+
+    def j_subring_generators(self):
+        """Minimal generators of J over f(A) + J, as elements of B, cached.
+
+        Over a subring that is not local, every generator of J is kept.
+        """
+        if self._j_subring_generators is None:
+            j_in_c = self.j_in_subring()
+            local, m_c = spectrum.is_local(self.subring, self.budget)
+            if local:
+                gens = [g for (g,) in minimal_generators(j_in_c, m_c)]
+            else:
+                gens = j_in_c.generator_elements()
+            self._j_subring_generators = [self.subring_incl(g) for g in gens]
+        return self._j_subring_generators
 
     def additive_span(self, p, vectors):
         """Canonical basis of the plain additive span of vectors in R^p."""

@@ -239,29 +239,29 @@ def power_iso(am, n, seed=0, budget=DEFAULT_MAX_ORDER, samples=10000):
         bijective = (r_n.order() == s.order() == image.basis().span_size())
         total = r_n.order()
         exhaustive = total * total <= budget
-        pairs_checked = 0
-        multiplicative = True
+        # phi(x*y) == phi(x)*phi(y) on coordinate tuples, pair by pair; in
+        # exhaustive mode R^n is enumerated and mapped by phi once
         if exhaustive:
-            elems = list(r_n.elements(budget))
-            for x in elems:
-                px = phi(x)
-                for y in elems:
-                    if phi(x * y) != px * phi(y):
-                        multiplicative = False
-                        break
-                    pairs_checked += 1
-                if not multiplicative:
-                    break
+            xs = [e.coords for e in r_n.elements(budget)]
+            images = [phi.apply_coords(x) for x in xs]
+            pairs = ((x, px, y, py) for x, px in zip(xs, images)
+                     for y, py in zip(xs, images))
         else:
             rng = random.Random(seed)
-            elems = None
-            for _ in range(samples):
-                x = r_n.element(tuple(rng.randrange(o) for o in r_n.orders))
-                y = r_n.element(tuple(rng.randrange(o) for o in r_n.orders))
-                if phi(x * y) != phi(x) * phi(y):
-                    multiplicative = False
-                    break
-                pairs_checked += 1
+
+            def sampled():
+                for _ in range(samples):
+                    x = tuple(rng.randrange(o) for o in r_n.orders)
+                    y = tuple(rng.randrange(o) for o in r_n.orders)
+                    yield x, phi.apply_coords(x), y, phi.apply_coords(y)
+            pairs = sampled()
+        pairs_checked = 0
+        multiplicative = True
+        for x, px, y, py in pairs:
+            if phi.apply_coords(r_n.mul_coords(x, y)) != s.mul_coords(px, py):
+                multiplicative = False
+                break
+            pairs_checked += 1
         ok = bijective and multiplicative
         return CheckResult(
             "power_iso", claim, "pass" if ok else "fail",
@@ -303,6 +303,10 @@ def _prune_to_a_minimal(am, u_vectors):
     return kept_idx
 
 
+_DEGENERATE = "instance degenerates after minimality pruning"
+_MAX_DRAWS = 16
+
+
 def _kernel_transfer_data(am, p, u_vectors, k_vectors):
     """Shared computation for the kernel-transfer checks.
 
@@ -330,7 +334,7 @@ def _kernel_transfer_data(am, p, u_vectors, k_vectors):
     if not _kappa_vanishes(am, kerv, k_vectors):
         keep = _prune_to_a_minimal(am, u_vectors)
         if not keep:
-            return "skipped", "instance degenerates after minimality pruning", None
+            return "skipped", _DEGENERATE, None
         pruned = True
         idx = keep
         u_vectors = [u_vectors[i] for i in keep]
@@ -522,7 +526,7 @@ def _block_generators(am, blocks):
     """
     ring = am.ring
     total_rank = sum(p for (_, p) in blocks)
-    j_mingens = _j_c_minimal_generators(am)
+    j_mingens = am.j_subring_generators()
     gens = []
     next_blocks = []
     offset = 0
@@ -549,21 +553,6 @@ def _block_generators(am, blocks):
 
 def _m_as_submodule(am):
     return submodule_span(am.a, 1, [(x,) for x in am.a_max.element_rows()])
-
-
-def _j_c_minimal_generators(am):
-    """Minimal generators of J over f(A)+J, pushed back into B."""
-    sub = am.subring
-    local, m_c = spectrum.is_local(sub, am.budget)
-    j_in_c = am.j_in_subring()
-    if local:
-        mingens = minimal_generators(j_in_c, m_c)
-    else:
-        mingens = [(g,) for g in j_in_c.generator_elements()]
-    out = []
-    for vec in mingens:
-        out.append(am.b.element(am.subring_incl.apply_coords(vec[0].coords)))
-    return out
 
 
 def _predicted_block_basis(am, blocks):
@@ -736,12 +725,24 @@ def gldim_signature(ring, depth=8, budget=DEFAULT_MAX_ORDER):
 # -- randomized instance generation -------------------------------------------
 
 def random_kernel_transfer_check(am, p, r, rng):
-    """One seeded random kernel-transfer instance (u in M^p, k in J^p)."""
-    u_vectors = []
-    k_vectors = []
-    for _ in range(r):
-        u_vectors.append(tuple(am.a_max.random_ring_element(rng)
-                               for _ in range(p)))
-        k_vectors.append(tuple(am.j.random_ring_element(rng)
-                               for _ in range(p)))
-    return verify_kernel_transfer(am, p, u_vectors, k_vectors)
+    """One seeded random kernel-transfer instance (u in M^p, k in J^p).
+
+    A draw that degenerates after minimality pruning (no u-part survives)
+    tests nothing, so the same generator draws again, up to _MAX_DRAWS
+    times; a draws witness records how many it took when that was more
+    than one.
+    """
+    for draws in range(1, _MAX_DRAWS + 1):
+        u_vectors = []
+        k_vectors = []
+        for _ in range(r):
+            u_vectors.append(tuple(am.a_max.random_ring_element(rng)
+                                   for _ in range(p)))
+            k_vectors.append(tuple(am.j.random_ring_element(rng)
+                                   for _ in range(p)))
+        result = verify_kernel_transfer(am, p, u_vectors, k_vectors)
+        if result.reason != _DEGENERATE:
+            if draws > 1:
+                result.witnesses["draws"] = draws
+            break
+    return result

@@ -12,6 +12,7 @@ to resolve).
 """
 
 import argparse
+import functools
 import random
 import sys
 
@@ -409,6 +410,13 @@ def build_argparser():
     return ap
 
 
+@functools.lru_cache(maxsize=1)
+def _argparser():
+    """build_argparser(), built once per process: parse_args leaves the
+    parser unchanged, and main runs once per input file."""
+    return build_argparser()
+
+
 def _emit(report, options):
     if options.format == "json":
         sys.stdout.write(report.to_json())
@@ -417,7 +425,7 @@ def _emit(report, options):
 
 
 def main(argv=None):
-    options = build_argparser().parse_args(argv)
+    options = _argparser().parse_args(argv)
     if options.depth < 0:
         print(f"input error: --depth must be non-negative, got {options.depth}",
               file=sys.stderr)

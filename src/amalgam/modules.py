@@ -44,17 +44,26 @@ def vector_from_coords(ring, p, flat_coords):
     return tuple(ring.element(flat_coords[k * d:(k + 1) * d]) for k in range(p))
 
 
-def flat_scaled(ring, vec):
+def _flat_scaled_coords(ring, slots):
+    """Scaled image of a vector given as p coordinate tuples."""
     out = []
-    for e in vec:
-        out.extend(ring.scaled(e.coords))
+    for x in slots:
+        out.extend(ring.scaled(x))
     return out
 
 
-def unflatten_scaled(ring, p, flat):
+def flat_scaled(ring, vec):
+    return _flat_scaled_coords(ring, [e.coords for e in vec])
+
+
+def _coord_slots(ring, p, flat):
+    """The p coordinate tuples of a scaled flat row."""
     d = ring.rank
-    return tuple(RingElement(ring, ring.unscaled(flat[k * d:(k + 1) * d]))
-                 for k in range(p))
+    return [ring.unscaled(flat[k * d:(k + 1) * d]) for k in range(p)]
+
+
+def unflatten_scaled(ring, p, flat):
+    return tuple(RingElement(ring, x) for x in _coord_slots(ring, p, flat))
 
 
 def vector_scale(x, vec):
@@ -67,29 +76,58 @@ def vector_is_zero(vec):
 
 
 def basis_action_rows(ring, vec):
-    """Scaled images of (basis_j * vec) for every ring basis element j."""
+    """Scaled images of (basis_j * vec) for every ring basis element j.
+
+    b_j * x is read off row j of the compiled tensor, sum_l x_l (b_j b_l),
+    and scaled in the same pass: (a mod o_k) * s_k = a * s_k mod N.
+    """
+    n, d, scale = ring.char, ring.rank, ring.scale
+    slots = [e.coords for e in vec]
+    zero = [0] * d
     rows = []
-    for j in range(ring.rank):
-        b = ring.basis_element(j)
-        rows.append(flat_scaled(ring, vector_scale(b, vec)))
+    for products in ring.sparse_tensor():
+        flat = []
+        for x in slots:
+            if not any(x):
+                flat.extend(zero)
+                continue
+            acc = [0] * d
+            for l, prod_l in products:
+                xl = x[l]
+                if xl:
+                    for k, c in prod_l:
+                        acc[k] += xl * c
+            flat.extend([a * s % n for a, s in zip(acc, scale)])
+        rows.append(flat)
     return rows
 
 
 # -- submodules ---------------------------------------------------------------
 
 class Submodule:
-    """R-submodule of R^p as a canonical Howell basis of its scaled image."""
+    """R-submodule of R^p as a canonical Howell basis of its scaled image.
 
-    __slots__ = ("ring", "p", "basis", "generators")
+    generators defaults to the basis rows, boxed as ring elements only when
+    first asked for.
+    """
 
-    def __init__(self, ring, p, basis, generators):
+    __slots__ = ("ring", "p", "basis", "_generators")
+
+    def __init__(self, ring, p, basis, generators=None):
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "generators", tuple(generators))
+        object.__setattr__(self, "_generators",
+                           None if generators is None else tuple(generators))
 
     def __setattr__(self, *a):
         raise AttributeError("Submodule is immutable")
+
+    @property
+    def generators(self):
+        if self._generators is None:
+            object.__setattr__(self, "_generators", tuple(self.rows_as_vectors()))
+        return self._generators
 
     @classmethod
     def from_gens(cls, ring, p, gens):
@@ -101,12 +139,6 @@ class Submodule:
             for row in basis_action_rows(ring, g):
                 b.insert(row)
         return cls(ring, p, b.basis(), gens)
-
-    @classmethod
-    def from_scaled_basis(cls, ring, p, basis, generators=None):
-        if generators is None:
-            generators = [unflatten_scaled(ring, p, row) for row in basis.rows]
-        return cls(ring, p, basis, generators)
 
     def size(self):
         return self.basis.span_size()
@@ -210,7 +242,7 @@ def syzygy(ring, gens, den=None):
     gens = [tuple(g) for g in gens]
     r = len(gens)
     if r == 0:
-        return Submodule(ring, 0, HowellBasis(ring.char, 0, []), ())
+        return Submodule(ring, 0, HowellBasis(ring.char, 0, []))
     p = len(gens[0])
     n = ring.char
     d = ring.rank
@@ -226,8 +258,7 @@ def syzygy(ring, gens, den=None):
     for row in ker.rows:
         vec = [(row[k] * scale[k % d]) % n for k in range(r * d)]
         out.insert(vec)
-    basis = out.basis()
-    return Submodule.from_scaled_basis(ring, r, basis)
+    return Submodule(ring, r, out.basis())
 
 
 # -- Nakayama minimal generators ----------------------------------------------
@@ -250,12 +281,13 @@ def minimal_generators(sub, max_ideal, gens=None, den=None):
             b.insert(list(row))
     # M*X is spanned by m*x over the rows of M and X; it is zero (and
     # nothing is inserted) exactly when M annihilates X
-    x_rows = sub.rows_as_vectors()
-    for m in max_ideal.element_rows():
-        for vec in x_rows:
-            prod_vec = vector_scale(m, vec)
-            if not vector_is_zero(prod_vec):
-                b.insert(flat_scaled(ring, prod_vec))
+    x_rows = [_coord_slots(ring, sub.p, row) for row in sub.basis.rows]
+    for row in max_ideal.basis.rows:
+        m = ring.unscaled(row)
+        for x in x_rows:
+            prod_slots = [ring.mul_coords(m, e) for e in x]
+            if any(map(any, prod_slots)):
+                b.insert(_flat_scaled_coords(ring, prod_slots))
     chosen = []
     for g in gens:
         if vector_is_zero(g):
@@ -312,8 +344,7 @@ class SummandType:
     def resolve(self, max_ideal, types):
         ring = self.module.ring
         self.syz = syzygy(ring, self.gens, den=self.den)
-        self.syz_gens = minimal_generators(
-            self.syz, max_ideal, gens=self.syz.rows_as_vectors())
+        self.syz_gens = minimal_generators(self.syz, max_ideal)
         self.components = [
             (slots, _summand_type(ring, max_ideal, len(slots), group, types))
             for slots, group in _slot_components(self.syz_gens)]
@@ -333,8 +364,8 @@ class SummandType:
             return bad
         for row in self.syz_gens:
             image = _combine(ring, row, self.gens, self.module.p)
-            if not (vector_is_zero(image) if self.den is None
-                    else self.den.contains_vector(image)):
+            if any(image) and (self.den is None
+                               or not self.den.basis.contains(image)):
                 bad.append(f"{where}: d o d != 0")
                 break
         if not all(max_ideal.contains_element(e)
@@ -379,13 +410,16 @@ class SummandType:
 
 
 def _combine(ring, coeffs, gens, p):
-    """sum coeffs[i] * gens[i] in R^p."""
-    acc = [ring.zero()] * p
+    """Scaled image of sum coeffs[i] * gens[i] in R^p."""
+    n = ring.char
+    acc = [0] * (p * ring.rank)
     for c, g in zip(coeffs, gens):
-        if not c.is_zero():
-            for s, e in enumerate(g):
-                acc[s] = acc[s] + c * e
-    return tuple(acc)
+        if any(c.coords):
+            term = _flat_scaled_coords(
+                ring, [ring.mul_coords(c.coords, e.coords) for e in g])
+            for i, v in enumerate(term):
+                acc[i] += v
+    return [v % n for v in acc]
 
 
 def _slot_components(gens):

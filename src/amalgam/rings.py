@@ -12,6 +12,15 @@ The scaled picture is used pervasively by the module/ideal layer.
 
 Plain rings whose additive group happens to be free (all o_i = N) are just
 the special case orders = (N, ..., N).
+
+Products run on the compiled (sparse) form of the tensor: for each basis
+element i, only the pairs (j, b_i * b_j) with a nonzero product, each
+product listed by its nonzero coordinates.  It is built from the stored
+tensor on first use and costs O(d^2 + nnz) per ring; a RingHom likewise
+keeps the nonzero entries of its matrix rows.  Hot loops here, in the
+module layer and in the power isomorphism check work on plain coordinate
+tuples and box only at the boundary: a RingElement is built only where a
+caller receives one.
 """
 
 from itertools import product as iproduct
@@ -115,26 +124,27 @@ class FiniteRing:
     def add_coords(self, x, y):
         return tuple((a + b) % o for a, b, o in zip(x, y, self.orders))
 
+    def sparse_tensor(self):
+        """The compiled tensor: row i holds (j, ((k, c), ...)) for every j
+        with b_i * b_j != 0, listing the nonzero coordinates c at k."""
+        terms = self._cache.get("sparse_tensor")
+        if terms is None:
+            terms = self._cache["sparse_tensor"] = tuple(
+                tuple((j, tuple((k, c) for k, c in enumerate(vec) if c))
+                      for j, vec in enumerate(row) if any(vec))
+                for row in self.tensor)
+        return terms
+
     def mul_coords(self, x, y):
-        d = self.rank
-        orders = self.orders
-        acc = [0] * d
-        tensor = self.tensor
-        for i in range(d):
-            xi = x[i]
-            if not xi:
-                continue
-            row = tensor[i]
-            for j in range(d):
-                yj = y[j]
-                if not yj:
-                    continue
-                c = row[j]
-                s = xi * yj
-                for k in range(d):
-                    if c[k]:
-                        acc[k] += s * c[k]
-        return tuple(a % o for a, o in zip(acc, orders))
+        acc = [0] * self.rank
+        for xi, row in zip(x, self.sparse_tensor()):
+            if xi:
+                for j, vec in row:
+                    s = xi * y[j]
+                    if s:
+                        for k, c in vec:
+                            acc[k] += s * c
+        return tuple([a % o for a, o in zip(acc, self.orders)])
 
     # -- scaled (Z/N)-coordinates for the span machinery --------------------
 
@@ -240,7 +250,7 @@ class RingHom:
     basis pair, which by bilinearity covers all elements.
     """
 
-    __slots__ = ("source", "target", "matrix", "section")
+    __slots__ = ("source", "target", "matrix", "section", "_sparse")
 
     def __init__(self, source, target, matrix, section=None, check=True):
         matrix = tuple(tuple(c % o for c, o in zip(row, target.orders))
@@ -251,6 +261,8 @@ class RingHom:
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "section", section)
+        object.__setattr__(self, "_sparse", tuple(
+            tuple((k, c) for k, c in enumerate(row) if c) for row in matrix))
         if check:
             self._verify()
 
@@ -276,15 +288,12 @@ class RingHom:
                         f"multiplicativity fails on basis pair ({i}, {j})")
 
     def apply_coords(self, coords):
-        tgt = self.target
-        acc = [0] * tgt.rank
-        for i, c in enumerate(coords):
+        acc = [0] * self.target.rank
+        for c, row in zip(coords, self._sparse):
             if c:
-                row = self.matrix[i]
-                for k in range(tgt.rank):
-                    if row[k]:
-                        acc[k] += c * row[k]
-        return tuple(a % o for a, o in zip(acc, tgt.orders))
+                for k, v in row:
+                    acc[k] += c * v
+        return tuple([a % o for a, o in zip(acc, self.target.orders)])
 
     def __call__(self, elem):
         if elem.ring is not self.source:

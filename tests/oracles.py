@@ -9,6 +9,42 @@ from itertools import product as iproduct
 from amalgam.znlinalg import enumerate_span
 
 
+def dense_mul_coords(ring, x, y):
+    """x * y by the plain triple loop over the stored tensor."""
+    d = ring.rank
+    acc = [0] * d
+    for i in range(d):
+        for j in range(d):
+            for k in range(d):
+                acc[k] += x[i] * y[j] * ring.tensor[i][j][k]
+    return tuple(a % o for a, o in zip(acc, ring.orders))
+
+
+def dense_apply_coords(hom, x):
+    """hom applied to source coordinates x by the plain matrix product."""
+    tgt = hom.target
+    acc = [0] * tgt.rank
+    for i in range(hom.source.rank):
+        for k in range(tgt.rank):
+            acc[k] += x[i] * hom.matrix[i][k]
+    return tuple(a % o for a, o in zip(acc, tgt.orders))
+
+
+def dense_action_rows(ring, slots):
+    """Scaled images of b_j * x for every basis element j, x given as
+    coordinate tuples, by dense products and an explicit scaling."""
+    d = ring.rank
+    rows = []
+    for j in range(d):
+        b_j = tuple(int(k == j) for k in range(d))
+        row = []
+        for x in slots:
+            prod = dense_mul_coords(ring, b_j, x)
+            row.extend(c * (ring.char // o) for c, o in zip(prod, ring.orders))
+        rows.append(row)
+    return rows
+
+
 def brute_span(modulus, rows):
     """All Z/N-combinations of the given rows, as a set of tuples."""
     if not rows:

@@ -374,3 +374,47 @@ def test_power_iso_exhaustive_on_small_instances():
         result = power_iso(INSTANCES[name], 2)
         assert result.passed, name
         assert result.witnesses["mode"] == "exhaustive"
+
+
+def test_random_kernel_transfer_keeps_the_skip_when_every_draw_degenerates():
+    # over a field A the u-parts are 0; with k != 0 no u-part survives the
+    # minimality pruning, however often the instance is drawn again
+    from amalgam.amalgam import amalgamation
+    from amalgam.rings import RingHom, trunc_poly
+
+    a, b = zmod(2), trunc_poly(2, 2)
+    f = RingHom(a, b, [(1, 0)])
+    am = amalgamation(a, b, f, ideal_span(b, [b.element((0, 1))]))
+
+    class Ones:
+        calls = 0
+
+        def randrange(self, n):
+            Ones.calls += 1
+            return 1
+
+    result = random_kernel_transfer_check(am, 1, 2, Ones())
+    assert result.status == "skipped"
+    assert result.reason == "instance degenerates after minimality pruning"
+    assert "draws" not in result.witnesses
+    assert Ones.calls == 16 * 2  # 16 draws of one J-coordinate per k-vector
+
+
+def test_thm34_cascade_decides_the_subring_locality_once(monkeypatch):
+    from amalgam import spectrum
+
+    am = standard_instances()["trunc_t3"]
+    calls = []
+    real = spectrum.is_local
+
+    def counting(ring, *args):
+        calls.append(ring)
+        return real(ring, *args)
+
+    monkeypatch.setattr(spectrum, "is_local", counting)
+    m = am.a.element((0, 1, 0))
+    for _ in range(2):
+        result = verify_thm_3_4_bookkeeping(am, m, levels=3)
+        assert result.passed and len(result.witnesses["cascade"]) == 3
+    assert sum(ring is am.subring for ring in calls) == 1
+    assert am.j_subring_generators() is am.j_subring_generators()

@@ -1,16 +1,20 @@
 """Parser, serializer, CLI exit codes, report determinism and schema."""
 
+import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
 from amalgam import cli, dsl
 from amalgam.dsl import DslSemanticError, DslSyntaxError, parse, serialize
-from amalgam.report import input_digest
+from amalgam.report import Report, input_digest
 from amalgam.rings import trunc_poly, verify_ring, zmod
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
+SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
 
 
 def corpus_path(name):
@@ -255,3 +259,107 @@ def test_text_summary_counts_skipped_records_apart(capsys, tmp_path):
     assert run_cli(["check", corpus_path("bad_improper_ideal.ring")]) == 1
     last = capsys.readouterr().out.splitlines()[-1]
     assert last == "0/2 checks passed, 1 skipped"
+
+
+def test_degenerate_random_kernel_transfer_draws_again(capsys):
+    # seed 29 draws a first instance that degenerates after minimality
+    # pruning; the check draws again from the same generator
+    path = corpus_path("idealization_tower.ring")
+    assert run_cli(["check", path, "--format", "json", "--seed", "29"]) == 0
+    records = json.loads(capsys.readouterr().out)["checks"]
+    [record] = [c for c in records if c["name"] == "kernel_transfer"]
+    assert record["status"] == "pass", record["reason"]
+    assert record["witnesses"]["draws"] > 1
+    # a seed whose first draw is usable reports no draws witness
+    assert run_cli(["check", path, "--format", "json", "--seed", "0"]) == 0
+    records = json.loads(capsys.readouterr().out)["checks"]
+    [record] = [c for c in records if c["name"] == "kernel_transfer"]
+    assert record["status"] == "pass" and "draws" not in record["witnesses"]
+
+
+def test_main_builds_its_argument_parser_once(capsys, monkeypatch):
+    built = []
+    real = cli.build_argparser
+
+    def counting():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_argparser", counting)
+    cli._argparser.cache_clear()
+    try:
+        for name in ("duplication_z4.ring", "idealization_tower.ring"):
+            assert run_cli(["check", corpus_path(name), "--format", "json"]) == 0
+        assert run_cli(["check", corpus_path("bad_syntax.ring")]) == 2
+    finally:
+        cli._argparser.cache_clear()
+    capsys.readouterr()
+    assert len(built) == 1
+    # the public builder still gives a fresh parser
+    assert real() is not real()
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="the interpreter has no int-to-str digit limit")
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_betti_numbers_past_the_int_str_limit_give_a_skipped_record(tmp_path, fmt):
+    path = tmp_path / "deep.ring"
+    path.write_text("A = zmod(4)\nI = ideal(A, [[2]])\nD = duplication(A, I)\n"
+                    "job betti(D, 2300)\n")
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-X", "int_max_str_digits=640", "-m", "amalgam.cli",
+         "check", str(path), "--format", fmt],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    if fmt == "json":
+        [record] = json.loads(proc.stdout)["checks"]
+        assert record["name"] == "betti" and record["status"] == "skipped"
+        assert "640-digit" in record["reason"]
+        assert "betti_mj" not in record["witnesses"]
+        assert record["witnesses"]["depth"] == 2300
+    else:
+        assert "640-digit" in proc.stdout
+        assert proc.stdout.endswith("0/1 checks passed, 1 skipped\n")
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="the interpreter has no int-to-str digit limit")
+def test_a_failed_record_past_the_digit_limit_stays_failed():
+    records = [{"name": name, "claim": "c", "status": status, "reason": reason,
+                "witnesses": {"betti": [1, 10 ** 700], "depth": 3},
+                "wall_ms": 0, "sort_key": (name, 0)}
+               for name, status, reason in (("a", "pass", None),
+                                            ("b", "fail", "vanished"))]
+    records.append({"name": "c", "claim": "c", "status": "pass", "reason": None,
+                    "witnesses": {"betti": [1, 10 ** 640 - 1]}, "wall_ms": 0,
+                    "sort_key": ("c", 0)})
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        report = Report("sha256:0", 0, records)
+        text = report.to_json() + report.to_text()
+    finally:
+        sys.set_int_max_str_digits(old)
+    a, b, c = report.checks
+    assert a["status"] == "skipped" and a["witnesses"] == {"depth": 3}
+    assert a["reason"].startswith("betti dropped") and "640-digit" in a["reason"]
+    assert b["status"] == "fail" and b["reason"].startswith("vanished; betti")
+    assert c["status"] == "pass" and c["witnesses"]["betti"][1] == 10 ** 640 - 1
+    assert report.exit_code() == 1 and "640-digit" in text
+
+
+def test_the_cli_digests_its_input_without_openssl():
+    env = dict(os.environ, PYTHONPATH=SRC)
+    probe = ("import sys, amalgam.cli\n"
+             "from amalgam.report import input_digest\n"
+             "print('_hashlib' in sys.modules)\n"
+             "print(input_digest('A = zmod(4)\\n'))\n")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded, digest = proc.stdout.split()
+    assert loaded == "False"
+    assert digest == "sha256:" + hashlib.sha256(b"A = zmod(4)\n").hexdigest()
+    assert input_digest("A = zmod(4)\n") == digest

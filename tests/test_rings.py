@@ -1,6 +1,7 @@
 """Ring constructors, homs, radicals and spectra on the spec's worked cases."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from amalgam.rings import (
     BudgetExceededError,
@@ -16,8 +17,9 @@ from amalgam.rings import (
     verify_ring,
     zmod,
 )
-from amalgam.amalgam import duplication
-from amalgam.modules import ideal_span
+from amalgam.amalgam import duplication, hom_power, ring_power
+from amalgam.instances import standard_instances
+from amalgam.modules import basis_action_rows, ideal_span
 from amalgam.spectrum import (
     idempotents,
     is_field,
@@ -32,7 +34,8 @@ from amalgam.spectrum import (
 )
 
 
-from oracles import brute_is_local, brute_maximal_ideals, ideal_elements
+from oracles import (brute_is_local, brute_maximal_ideals, dense_action_rows,
+                     dense_apply_coords, dense_mul_coords, ideal_elements)
 
 
 def test_zmod_shapes():
@@ -276,3 +279,49 @@ def test_hom_validation():
 def test_zero_ring_disallowed():
     with pytest.raises(RingConstructionError):
         FiniteRing(4, (), (), ())
+
+
+def _arithmetic_cases():
+    """{label: (ring, homs out of it)} for the compiled-arithmetic tests."""
+    cases = {}
+    for name, am in standard_instances().items():
+        square, a_square = ring_power(am.ring, 2), ring_power(am.a, 2)
+        cases[name] = (am.ring, [am.proj_a])
+        cases[f"{name}^2"] = (square, [hom_power(am.proj_a, 2, square, a_square)])
+        cases[f"{name}.A"] = (am.a, [am.f])
+        cases[f"{name}.C"] = (am.subring, [am.subring_incl])
+    for n, p in ((4, 2), (9, 3)):
+        cases[f"Z{n}"] = (zmod(n), [RingHom(zmod(n), zmod(p), [(1,)])])
+    f2 = trunc_poly(2, 3)
+    cases["F2[x]/(x^3)"] = (f2, [RingHom(f2, trunc_poly(2, 2),
+                                         [(1, 0), (0, 1), (0, 0)])])
+    z4x = trunc_poly(4, 3)
+    quo, pi = quotient_ring(z4x, ideal_span(z4x, [z4x.element((0, 2, 0))]))
+    cases["Z4[x]/(x^3)"] = (z4x, [pi])
+    cases["Z4[x]/(x^3, 2x)"] = (quo, [RingHom.identity(quo)])
+    # the Galois ring (Z/4)[x]/(x^2 + x + 1): x * x = 3x + 3 has two
+    # nonzero coordinates
+    gr = FiniteRing(4, (4, 4), [[(1, 0), (0, 1)], [(0, 1), (3, 3)]], (1, 0),
+                    labels=("1", "x"), name="GR(4,2)")
+    assert verify_ring(gr).ok
+    frob = RingHom(gr, gr, [(1, 0), (3, 3)])  # x -> x^2 = -1 - x
+    cases["GR(4,2)"] = (gr, [frob])
+    return cases
+
+
+ARITHMETIC_CASES = _arithmetic_cases()
+
+
+@pytest.mark.parametrize("label", sorted(ARITHMETIC_CASES))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_compiled_arithmetic_matches_dense_reference(label, data):
+    ring, homs = ARITHMETIC_CASES[label]
+    coords = st.tuples(*[st.integers(0, o - 1) for o in ring.orders])
+    x, y = data.draw(coords), data.draw(coords)
+    assert ring.mul_coords(x, y) == dense_mul_coords(ring, x, y)
+    for hom in homs:
+        assert hom.apply_coords(x) == dense_apply_coords(hom, x)
+    slots = data.draw(st.lists(coords, min_size=1, max_size=3))
+    vec = tuple(ring.element(c) for c in slots)
+    assert basis_action_rows(ring, vec) == dense_action_rows(ring, slots)
