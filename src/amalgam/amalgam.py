@@ -19,7 +19,7 @@ from .znlinalg import ZnMatrix, solve, span_builder
 from .rings import (DEFAULT_MAX_ORDER, FiniteRing, RingConstructionError,
                     RingElement, RingHom)
 from .abgroups import subgroup_decomposition
-from .modules import ideal_span, minimal_generators
+from .modules import TypeTable, ideal_span, minimal_generators
 from . import spectrum
 
 
@@ -161,6 +161,8 @@ class AmalgamObjects:
         self._j_in_subring = None
         self._j_subring_generators = None
         self._ring_local = None
+        self._subring_local = None
+        self._type_table = None
         self._hypotheses = None  # cached by checks.hypotheses_of
 
     def ring_local(self):
@@ -168,6 +170,22 @@ class AmalgamObjects:
         if self._ring_local is None:
             self._ring_local = spectrum.is_local(self.ring, self.budget)
         return self._ring_local
+
+    def subring_local(self):
+        """(flag, maximal ideal) of the subring f(A) + J, cached."""
+        if self._subring_local is None:
+            self._subring_local = spectrum.is_local(self.subring, self.budget)
+        return self._subring_local
+
+    def type_table(self):
+        """The TypeTable that every resolution over the constructed ring
+        and its maximal ideal shares while the bundle lives; None if the
+        ring is not local."""
+        if self._type_table is None:
+            local, mx = self.ring_local()
+            if local:
+                self._type_table = TypeTable(self.ring, mx)
+        return self._type_table
 
     def embed(self, a_elem, j_elem):
         """The ring element with pair (a, f(a) + j)."""
@@ -219,7 +237,7 @@ class AmalgamObjects:
         """
         if self._j_subring_generators is None:
             j_in_c = self.j_in_subring()
-            local, m_c = spectrum.is_local(self.subring, self.budget)
+            local, m_c = self.subring_local()
             if local:
                 gens = [g for (g,) in minimal_generators(j_in_c, m_c)]
             else:

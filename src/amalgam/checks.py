@@ -18,7 +18,7 @@ import random
 import time
 
 from .rings import DEFAULT_MAX_ORDER, BudgetExceededError
-from .modules import (CokernelSpec, ideal_span, is_projective,
+from .modules import (CokernelSpec, TypeTable, ideal_span, is_projective,
                       minimal_generators, minimal_resolution,
                       submodule_span, syzygy)
 from . import spectrum
@@ -91,8 +91,13 @@ class HypothesisReport:
         return {k: getattr(self, k) for k in self.__slots__}
 
 
-def check_hypotheses(ring_a, ring_b, hom, ideal_j, budget=DEFAULT_MAX_ORDER):
-    """Evaluate the hypothesis set on raw pieces; never raises on failure."""
+def check_hypotheses(ring_a, ring_b, hom, ideal_j, budget=DEFAULT_MAX_ORDER,
+                     bundle=None):
+    """Evaluate the hypothesis set on raw pieces; never raises on failure.
+
+    bundle is the AmalgamObjects built from these pieces, if any: f(A) + J
+    and its locality then come from the bundle instead of being rebuilt.
+    """
     witnesses = {}
     a_local, m_a = spectrum.is_local(ring_a, budget)
     if not a_local:
@@ -133,9 +138,13 @@ def check_hypotheses(ring_a, ring_b, hom, ideal_j, budget=DEFAULT_MAX_ORDER):
     count = None
     subring_local = None
     try:
-        sub, incl = image_plus_J(hom, ideal_j)
+        if bundle is None:
+            sub, incl = image_plus_J(hom, ideal_j)
+            subring_local, m_c = spectrum.is_local(sub, budget)
+        else:
+            sub, incl = bundle.subring, bundle.subring_incl
+            subring_local, m_c = bundle.subring_local()
         j_in_c = ideal_in_subring(incl, j_rows)
-        subring_local, m_c = spectrum.is_local(sub, budget)
         if subring_local:
             count = len(minimal_generators(j_in_c, m_c))
         else:
@@ -167,7 +176,8 @@ def check_hypotheses(ring_a, ring_b, hom, ideal_j, budget=DEFAULT_MAX_ORDER):
 def hypotheses_of(am):
     """check_hypotheses on the bundle's pieces, cached on the bundle."""
     if am._hypotheses is None:
-        am._hypotheses = check_hypotheses(am.a, am.b, am.f, am.j, am.budget)
+        am._hypotheses = check_hypotheses(am.a, am.b, am.f, am.j, am.budget,
+                                          bundle=am)
     return am._hypotheses
 
 
@@ -400,7 +410,8 @@ def verify_lemma_2_4(am, p, u_vectors, k_vectors, depth=4):
         }
         if local:
             w_sub = submodule_span(am.ring, p, data["w_gens"])
-            res_w = minimal_resolution(am.ring, w_sub, mx, depth)
+            res_w = minimal_resolution(am.ring, w_sub, mx, depth,
+                                       table=am.type_table())
             witnesses["betti_w"] = list(res_w.betti)
         u_sub = submodule_span(am.a, p, data["u_vectors"])
         res_u = minimal_resolution(am.a, u_sub, am.a_max, depth)
@@ -451,8 +462,9 @@ def betti_experiment(am, depth=DEFAULT_DEPTH):
         if not local:
             return CheckResult("betti", claim, "skipped",
                                reason="amalgamation is not local")
-        res_mj = minimal_resolution(am.ring, am.mj, mx, depth)
-        res_zj = minimal_resolution(am.ring, am.zero_j, mx, depth)
+        table = am.type_table()
+        res_mj = minimal_resolution(am.ring, am.mj, mx, depth, table=table)
+        res_zj = minimal_resolution(am.ring, am.zero_j, mx, depth, table=table)
         issues = res_mj.validate() + res_zj.validate()
         positive = (all(b >= 1 for b in res_mj.betti[:depth + 1]) and
                     all(b >= 1 for b in res_zj.betti[:depth + 1]))
@@ -490,10 +502,12 @@ def verify_thm_3_1_objects(am, k_elem, depth=DEFAULT_DEPTH):
         ann_is_mj = syz.basis == am.mj.basis
         self_ann = all((gen * x).is_zero() for x in ideal_i.element_rows())
         local, mx = am.ring_local()
-        projective = is_projective(am.ring, ideal_i, mx)
+        table = am.type_table()
+        projective = is_projective(am.ring, ideal_i, mx, table=table)
         whole = submodule_span(am.ring, 1, [(am.ring.one(),)])
         den = submodule_span(am.ring, 1, ideal_i.generators)
-        res = minimal_resolution(am.ring, CokernelSpec(whole, den), mx, depth)
+        res = minimal_resolution(am.ring, CokernelSpec(whole, den), mx, depth,
+                                 table=table)
         kind, value = res.verdict
         deep = kind == "at_least" and value >= depth
         ok = ann_is_mj and self_ann and (not projective) and deep
@@ -674,6 +688,7 @@ def pd_profile(ring, depth=8, ideal_budget=512, budget=DEFAULT_MAX_ORDER,
             return CheckResult("pd_profile", claim, "skipped",
                                reason="ring exceeds the enumeration budget")
         whole = submodule_span(ring, 1, [(ring.one(),)])
+        table = TypeTable(ring, mx)
         rows = []
         max_finite = 0
         deep = 0
@@ -681,7 +696,8 @@ def pd_profile(ring, depth=8, ideal_budget=512, budget=DEFAULT_MAX_ORDER,
             if not ideal.is_proper():
                 continue
             den = submodule_span(ring, 1, ideal.generators)
-            res = minimal_resolution(ring, CokernelSpec(whole, den), mx, depth)
+            res = minimal_resolution(ring, CokernelSpec(whole, den), mx, depth,
+                                     table=table)
             kind, value = res.verdict
             if kind == "exact":
                 max_finite = max(max_finite, value)

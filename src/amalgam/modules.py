@@ -17,8 +17,10 @@ by its canonical Howell basis.  A type is resolved once; a step carries
 only type multiplicities, with betti = sum mult(T) * mu(T) and the next
 multiplicities sum mult(T) * children(T).  The Betti numbers of the
 paper-scale instances grow geometrically, while the number of types stays
-at a handful.  Tests compare the engine with the plain syzygy/Nakayama
-loop on small inputs.
+at a handful.  The types live in a TypeTable for one ring and maximal
+ideal, which several resolutions may share so that each type is resolved
+once between them.  Tests compare the engine with the plain
+syzygy/Nakayama loop on small inputs.
 """
 
 from collections import Counter
@@ -323,32 +325,34 @@ def module_quotient_presentation(ring, num, den):
 class SummandType:
     """One summand of a syzygy module, resolved once however often it occurs.
 
-    module is a submodule of R^k (k = module.p); gens are its Nakayama
-    generators, so mu = len(gens) is its contribution to the next Betti
-    number.  resolve() fills in syz, the syzygy of gens inside R^mu (taken
-    modulo den for the resolution target), syz_gens, the Nakayama
-    generators of syz (the rows of the next differential), components, the
-    connected slot components of syz_gens as (slots, child type), and
-    children, the Counter of child types.
+    module is a submodule of R^k (k = module.p) and key its canonical Howell
+    basis (None for a resolution target); gens are its Nakayama generators,
+    so mu = len(gens) is its contribution to the next Betti number.
+    resolve() fills in syz, the syzygy of gens inside R^mu (taken modulo den
+    for the resolution target), syz_gens, the Nakayama generators of syz
+    (the rows of the next differential), components, the connected slot
+    components of syz_gens as (slots, child key), and children, the Counter
+    of child keys.  Children are named by key, never by object, so the type
+    graph, self-loops included, holds no reference cycle.
     """
 
-    __slots__ = ("module", "gens", "den", "syz", "syz_gens", "components",
-                 "children")
+    __slots__ = ("key", "module", "gens", "den", "syz", "syz_gens",
+                 "components", "children")
 
-    def __init__(self, module, gens, den=None):
+    def __init__(self, module, gens, den=None, key=None):
+        self.key = key
         self.module = module
         self.gens = tuple(gens)
         self.den = den
         self.syz = self.syz_gens = self.components = self.children = None
 
-    def resolve(self, max_ideal, types):
+    def resolve(self, table):
         ring = self.module.ring
         self.syz = syzygy(ring, self.gens, den=self.den)
-        self.syz_gens = minimal_generators(self.syz, max_ideal)
-        self.components = [
-            (slots, _summand_type(ring, max_ideal, len(slots), group, types))
-            for slots, group in _slot_components(self.syz_gens)]
-        self.children = Counter(t for _, t in self.components)
+        self.syz_gens = minimal_generators(self.syz, table.max_ideal)
+        self.components = [(slots, table.key_of(len(slots), group))
+                           for slots, group in _slot_components(self.syz_gens)]
+        self.children = Counter(key for _, key in self.components)
 
     def issues(self, max_ideal, where, cover):
         """Violations of the type's own data (see Resolution.validate)."""
@@ -358,6 +362,8 @@ class SummandType:
         if self.den is not None:
             span_gens += self.den.rows_as_vectors()
         bad = []
+        if self.key is not None and self.module.basis != self.key:
+            bad.append(f"{where}: the module is not the one its key names")
         if submodule_span(ring, self.module.p, span_gens).basis != self.module.basis:
             bad.append(f"{where}: generators do not span the module")
         if self.syz is None:
@@ -398,13 +404,13 @@ class SummandType:
             if len(homes) != 1 or None in homes:
                 return [f"{where}: a kernel generator straddles components"]
             groups[homes.pop()].append(row)
-        for (slots, child), group in zip(self.components, groups):
+        for (slots, key), group in zip(self.components, groups):
             restricted = [tuple(row[s] for s in slots) for row in group]
-            if submodule_span(ring, len(slots), restricted).basis != child.module.basis:
+            if submodule_span(ring, len(slots), restricted).basis != key:
                 return [f"{where}: a component does not span its summand type"]
-        if prod(child.module.size() for _, child in self.components) != self.syz.size():
+        if prod(key.span_size() for _, key in self.components) != self.syz.size():
             return [f"{where}: the components do not sum to the kernel"]
-        if self.children != Counter(t for _, t in self.components):
+        if self.children != Counter(key for _, key in self.components):
             return [f"{where}: child multiplicities disagree with the components"]
         return []
 
@@ -451,27 +457,51 @@ def _slot_components(gens):
             for root, group in groups.items()]
 
 
-def _summand_type(ring, max_ideal, k, vectors, types):
-    """The memoized type of span(vectors) in R^k, keyed by its Howell basis."""
-    module = submodule_span(ring, k, vectors)
-    t = types.get(module.basis)
-    if t is None:
-        gens = minimal_generators(module, max_ideal, gens=module.rows_as_vectors())
-        t = types[module.basis] = SummandType(module, gens)
-    return t
+class TypeTable:
+    """The summand types over one ring and one maximal ideal.
+
+    types maps a canonical Howell basis to the SummandType of that
+    submodule of R^k.  A type's data depends only on its key, so every
+    resolution over the same ring and maximal ideal may share one table
+    and resolve each type once.  AmalgamObjects owns one for its ring for
+    as long as the bundle lives, pd_profile one for its ideal loop, and
+    minimal_resolution makes a fresh one, dropped with the call, when
+    handed none.  Types name their children by key, so a table is freed
+    with its owner by reference counting.
+    """
+
+    __slots__ = ("ring", "max_ideal", "types")
+
+    def __init__(self, ring, max_ideal):
+        self.ring = ring
+        self.max_ideal = max_ideal
+        self.types = {}
+
+    def key_of(self, k, vectors):
+        """The key of span(vectors) in R^k, filing a new type on first sight."""
+        module = submodule_span(self.ring, k, vectors)
+        t = self.types.get(module.basis)
+        if t is None:
+            gens = minimal_generators(module, self.max_ideal,
+                                      gens=module.rows_as_vectors())
+            t = self.types[module.basis] = SummandType(module, gens,
+                                                       key=module.basis)
+        return t.key
 
 
 class Resolution:
     """Minimal free resolution as a direct sum of summand types.
 
     root is the target as a SummandType (modulo den); multiplicities[i] is
-    the Counter of summand types of the (i+1)-st syzygy, so betti[i+1] is
-    the sum of mult * mu over it; types holds every type reached.
-    structure[i] is "generic" when step i+1 resolved a type for the first
-    time and "memo" when every type was already known.  verdict is
-    ("exact", k) when the resolution terminated with betti_{k+1} = 0, else
-    ("at_least", depth); periodic is (first step, period) of the first
-    syzygy module that repeats, or None.
+    the Counter of summand-type keys of the (i+1)-st syzygy, so betti[i+1]
+    is the sum of mult * mu over it; types holds the types this resolution
+    reaches, in order of first reach, not the whole table it ran on.
+    structure[i] is "generic" when step i+1 resolved a type, the target or
+    one no earlier resolution on the table had resolved, and "memo" when
+    every type was already known.  verdict is ("exact", k) when the
+    resolution terminated with betti_{k+1} = 0, else ("at_least", depth);
+    periodic is (first step, period) of the first syzygy module that
+    repeats, or None.
     """
 
     __slots__ = ("ring", "max_ideal", "betti", "root", "types",
@@ -497,14 +527,15 @@ class Resolution:
     def validate(self):
         """Re-check the resolution type by type; returns the violations.
 
-        For the target and for every summand type T, once: the generators
-        span T (modulo den), every kernel generator composes with them to 0
-        (complex), has its entries in M (minimality) and together they span
-        the stored kernel (exactness), with |ker| * |T| = |R|^mu
-        (cardinality).  The kernel splits exactly: component slots are
-        disjoint (and cover R^mu below the target), each component spans
-        its type and the component sizes multiply to |ker|.  Last, the
-        multiplicities and Betti numbers are recomputed from the children.
+        For the target and for every reached summand type T, once: T's
+        module is the one its key names, the generators span T (modulo
+        den), every kernel generator composes with them to 0 (complex), has
+        its entries in M (minimality) and together they span the stored
+        kernel (exactness), with |ker| * |T| = |R|^mu (cardinality).  The
+        kernel splits exactly: component slots are disjoint (and cover R^mu
+        below the target), each component spans its key and the component
+        sizes multiply to |ker|.  Last, the multiplicities and Betti numbers
+        are recomputed from the children.
         """
         mx = self.max_ideal
         bad = self.root.issues(mx, "target", cover=False)
@@ -512,76 +543,98 @@ class Resolution:
             bad += t.issues(mx, f"type {n}", cover=True)
         if len(self.root.gens) != self.betti[0]:
             bad.append("betti_0 is not the number of target generators")
-        mult = Counter({self.root: 1})
+        lookup = {t.key: t for t in self.types}
+        lookup[None] = self.root
+        mult = Counter({None: 1})
         for i, stored in enumerate(self.multiplicities):
-            if any(t.children is None for t in mult):
+            if any(lookup[k].children is None for k in mult):
                 bad.append(f"step {i + 1} reaches an unresolved type")
                 break
-            mult = _next_multiplicities(mult)
+            mult = _next_multiplicities(mult, lookup)
             if mult != stored:
                 bad.append(f"multiplicities disagree with the children at step {i + 1}")
-            if _betti(mult) != self.betti[i + 1]:
+            if any(k not in lookup for k in mult):
+                bad.append(f"step {i + 1} reaches a type outside the resolution")
+                break
+            if _betti(mult, lookup) != self.betti[i + 1]:
                 bad.append(f"betti_{i + 1} disagrees with the multiplicities")
         return bad
 
 
-def _next_multiplicities(mult):
+def _next_multiplicities(mult, lookup):
     out = Counter()
-    for t, m in mult.items():
-        for c, n in t.children.items():
+    for k, m in mult.items():
+        for c, n in lookup[k].children.items():
             out[c] += m * n
     return out
 
 
-def _betti(mult):
-    return sum(m * len(t.gens) for t, m in mult.items())
+def _betti(mult, lookup):
+    return sum(m * len(lookup[k].gens) for k, m in mult.items())
 
 
-def minimal_resolution(ring, target, max_ideal, depth=DEFAULT_DEPTH):
+def minimal_resolution(ring, target, max_ideal, depth=DEFAULT_DEPTH, table=None):
     """Minimal free resolution data of the target module to the given depth.
 
     target is a Submodule or a CokernelSpec; max_ideal must be the maximal
-    ideal of the (local) ring.  Deterministic for a fixed generator order.
+    ideal of the (local) ring.  Summand types are resolved on table, a
+    TypeTable for this ring and maximal ideal that the caller shares
+    between resolutions; with none, a fresh one serves this call only, and
+    a table for another ring or maximal ideal raises ValueError.  The
+    result is the same whichever table it ran on.  Deterministic for a
+    fixed generator order.
     """
     if depth < 0:
         raise ValueError(f"resolution depth must be non-negative, got {depth}")
+    if table is None:
+        table = TypeTable(ring, max_ideal)
+    elif table.ring is not ring:
+        raise ValueError(f"type table is over {table.ring.name}, not {ring.name}")
+    elif not module_equal(max_ideal, table.max_ideal):
+        raise ValueError("type table is for another maximal ideal")
     if isinstance(target, CokernelSpec):
         num, den = target.num, target.den
     else:
         num, den = target, None
     root = SummandType(num, minimal_generators(num, max_ideal, den=den), den)
-    types = {}
-    mult = Counter({root: 1})
+    reached = {None: root}  # the target under None, then each type reached
+    mult = Counter({None: 1})
     betti = [len(root.gens)]
     multiplicities = []
     structure = []
     while betti[-1] and len(multiplicities) < depth:
-        fresh = [t for t in mult if t.children is None]
+        fresh = [reached[k] for k in mult if reached[k].children is None]
         for t in fresh:
-            t.resolve(max_ideal, types)
+            t.resolve(table)
         structure.append("generic" if fresh else "memo")
-        mult = _next_multiplicities(mult)
+        mult = _next_multiplicities(mult, reached)
+        for k in mult:
+            if k not in reached:
+                reached[k] = table.types[k]
         multiplicities.append(mult)
-        betti.append(_betti(mult))
+        betti.append(_betti(mult, reached))
     if betti[-1]:
         verdict = ("at_least", depth)
     else:
         verdict = ("exact", max(len(betti) - 2, 0))
+    del reached[None]
     return Resolution(ring=ring, max_ideal=max_ideal, betti=tuple(betti),
-                      root=root, types=tuple(types.values()),
+                      root=root, types=tuple(reached.values()),
                       multiplicities=tuple(multiplicities),
                       structure=tuple(structure), verdict=verdict,
-                      periodic=_detect_period(ring, betti, root, multiplicities))
+                      periodic=_detect_period(ring, betti, root,
+                                              multiplicities, reached))
 
 
-def _detect_period(ring, betti, root, multiplicities):
+def _detect_period(ring, betti, root, multiplicities, types):
     """(first step, period) of the first repeated syzygy module, or None.
 
     Equal syzygies have equal Betti ranks and equal type multiplicities, so
     those are compared first; only on a match are the modules themselves
     compared, as the set of their components placed in the ambient free
     module.  The placement follows the order of the Nakayama generators,
-    which is the order of their Howell pivots.
+    which is the order of their Howell pivots.  types maps each reached
+    key to its type.
     """
     coarse = [(b, frozenset(m.items())) for b, m in zip(betti, multiplicities)]
     if _first_repeat(coarse) is None:
@@ -590,16 +643,16 @@ def _detect_period(ring, betti, root, multiplicities):
     placed = root.components
     keys = []
     for b in betti[:len(multiplicities)]:
-        keys.append((b, frozenset((t, slots) for slots, t in placed)))
+        keys.append((b, frozenset((key, slots) for slots, key in placed)))
         if len(keys) == len(multiplicities):
             break
         order = sorted((slots[j // d] * d + j % d, n, g)
-                       for n, (slots, t) in enumerate(placed)
-                       for g, j in enumerate(_pivots(t.gens)))
+                       for n, (slots, key) in enumerate(placed)
+                       for g, j in enumerate(_pivots(types[key].gens)))
         pos = {(n, g): i for i, (_, n, g) in enumerate(order)}
         placed = [(tuple(pos[n, s] for s in sub), child)
-                  for n, (_, t) in enumerate(placed)
-                  for sub, child in t.components]
+                  for n, (_, key) in enumerate(placed)
+                  for sub, child in types[key].components]
     return _first_repeat(keys)
 
 
@@ -628,10 +681,10 @@ def pd_report(ring, target, max_ideal, depth=DEFAULT_DEPTH):
     return res.verdict
 
 
-def is_projective(ring, target, max_ideal):
+def is_projective(ring, target, max_ideal, table=None):
     """Projective = free over a local ring: the minimal presentation has
-    no relations."""
-    res = minimal_resolution(ring, target, max_ideal, depth=1)
+    no relations.  table is as for minimal_resolution."""
+    res = minimal_resolution(ring, target, max_ideal, depth=1, table=table)
     return len(res.betti) < 2 or res.betti[1] == 0
 
 

@@ -148,7 +148,7 @@ class HowellBasis:
     ambient dimension is equivalent to equality of the spans they generate.
     """
 
-    __slots__ = ("modulus", "ambient", "rows", "pivots")
+    __slots__ = ("modulus", "ambient", "rows", "pivots", "_hash")
 
     def __init__(self, modulus, ambient, rows):
         object.__setattr__(self, "modulus", modulus)
@@ -161,6 +161,7 @@ class HowellBasis:
                     pivots.append((j, v))
                     break
         object.__setattr__(self, "pivots", tuple(pivots))
+        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, *a):
         raise AttributeError("HowellBasis is immutable")
@@ -172,7 +173,12 @@ class HowellBasis:
                (other.modulus, other.ambient, other.rows)
 
     def __hash__(self):
-        return hash((self.modulus, self.ambient, self.rows))
+        # cached: summand types are keyed by their basis, and a resolution
+        # and its validation look the keys up at every step
+        if self._hash is None:
+            object.__setattr__(self, "_hash",
+                               hash((self.modulus, self.ambient, self.rows)))
+        return self._hash
 
     def __repr__(self):
         return f"HowellBasis(mod {self.modulus}, dim {self.ambient}, {len(self.rows)} rows)"

@@ -418,3 +418,31 @@ def test_thm34_cascade_decides_the_subring_locality_once(monkeypatch):
         assert result.passed and len(result.witnesses["cascade"]) == 3
     assert sum(ring is am.subring for ring in calls) == 1
     assert am.j_subring_generators() is am.j_subring_generators()
+
+
+def test_hypotheses_of_uses_the_bundles_own_subring(monkeypatch):
+    from amalgam import checks, spectrum
+
+    calls = []
+    real = spectrum.is_local
+
+    def counting(ring, *args):
+        calls.append(ring)
+        return real(ring, *args)
+
+    def no_rebuild(*args):
+        raise AssertionError("f(A) + J rebuilt")
+
+    fresh = standard_instances()
+    for name, am in fresh.items():
+        expected = check_hypotheses(am.a, am.b, am.f, am.j, am.budget)
+        monkeypatch.setattr(checks, "image_plus_J", no_rebuild)
+        monkeypatch.setattr(spectrum, "is_local", counting)
+        report, result = hypotheses_of(am)
+        # the subring's locality is decided once per bundle, shared with
+        # the thm34 cascade
+        am.j_subring_generators()
+        monkeypatch.undo()
+        assert report.to_dict() == expected[0].to_dict(), name
+        assert result.to_dict() == expected[1].to_dict(), name
+    assert sum(ring is am.subring for am in fresh.values() for ring in calls) == len(fresh)

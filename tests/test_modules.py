@@ -1,15 +1,21 @@
 """Span/syzygy/resolution engine, cross-checked by exhaustive enumeration."""
 
+import contextlib
+import gc
+import io
+import os
 import random
-from collections import Counter
 from itertools import product as iproduct
 from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from amalgam.instances import standard_truncation
 from amalgam.rings import trunc_poly, zmod
 from amalgam.modules import (
+    SummandType,
+    TypeTable,
     global_dimension_signature,
     ideal_span,
     is_projective,
@@ -22,7 +28,7 @@ from amalgam.modules import (
     syzygy,
 )
 from amalgam.spectrum import is_local
-from amalgam import amalgam as am
+from amalgam import amalgam as am, cli
 from amalgam.znlinalg import enumerate_span
 
 from oracles import dense_resolution
@@ -241,10 +247,11 @@ def test_zero_j_module_resolution_positive_betti():
 def _engine_summary(res):
     """Betti table, verdict, periodic and per-step kernel sizes."""
     sizes = []
-    mult = Counter({res.root: 1})
+    by_key = {t.key: t for t in res.types}
+    mult = {res.root: 1}
     for nxt in res.multiplicities:
         sizes.append(prod(t.syz.size() ** m for t, m in mult.items()))
-        mult = nxt
+        mult = {by_key[k]: m for k, m in nxt.items()}
     return list(res.betti), res.verdict, res.periodic, sizes
 
 
@@ -291,6 +298,7 @@ def test_engine_agrees_with_dense_oracle_on_random_submodules(data):
 
 
 def _resolved_type(depth=3):
+    # a fresh bundle and no table: the mutations below stay in this test
     obj = dup_ring()
     _, mx = is_local(obj.ring)
     res = minimal_resolution(obj.ring, obj.mj, mx, depth=depth)
@@ -318,9 +326,103 @@ def test_validate_reports_a_corrupted_child_multiplicity():
 
 def test_validate_reports_a_corrupted_component_basis():
     res, t = _resolved_type()
-    slots, child = t.components[0]
-    child.module = submodule_span(res.ring, len(slots), [])
+    slots, _ = t.components[0]
+    t.components[0] = (slots, submodule_span(res.ring, len(slots), []).basis)
     assert any("does not span its summand type" in msg for msg in res.validate())
+
+
+def test_validate_reports_a_type_filed_under_another_key():
+    res, t = _resolved_type()
+    t.module = submodule_span(res.ring, t.module.p, [])
+    where = f"type {res.types.index(t)}:"
+    assert f"{where} the module is not the one its key names" in res.validate()
+
+
+# -- one type table shared by every resolution over a ring -----------------------
+
+def _table_targets(inst):
+    """mj, zero_j, the residue field and R/R(0,k) for the first k of J."""
+    _, mx = inst.ring_local()
+    r = inst.ring
+    gen = inst.embed(inst.a.zero(), inst.j_group_basis[0])
+    whole = submodule_span(r, 1, [(r.one(),)])
+    quotient = module_quotient_presentation(
+        r, whole, submodule_span(r, 1, [(gen,)]))
+    return [inst.mj, inst.zero_j, residue_field_target(r, mx), quotient]
+
+
+def _summary(res):
+    return (list(res.betti), res.verdict, res.periodic,
+            [t.key for t in res.types], res.validate())
+
+
+@pytest.mark.parametrize("name", ["dup_z4", "tower_dim1", "tower_dim2",
+                                  "trunc_t3", "trunc_t4"])
+@pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reversed"])
+def test_a_shared_type_table_changes_no_resolution(instances, name, reverse):
+    inst = instances[name]
+    _, mx = inst.ring_local()
+    targets = _table_targets(inst)
+    depth = 4
+    fresh = [_summary(minimal_resolution(inst.ring, t, mx, depth))
+             for t in targets]
+    table = TypeTable(inst.ring, mx)
+    order = list(reversed(range(len(targets)))) if reverse else range(len(targets))
+    shared = {}
+    for i in order:
+        res = minimal_resolution(inst.ring, targets[i], mx, depth, table=table)
+        shared[i] = _summary(res)
+        # every type the resolution reaches is the table's own object
+        assert all(table.types[t.key] is t for t in res.types)
+    assert [shared[i] for i in range(len(targets))] == fresh
+    assert all(issues == [] for *_, issues in fresh)
+    # a later resolution of an already seen target resolves no new type
+    res = minimal_resolution(inst.ring, targets[0], mx, depth, table=table)
+    assert res.structure[1:] == ("memo",) * (len(res.structure) - 1)
+
+
+def test_a_type_table_for_another_ring_or_maximal_ideal_is_refused():
+    obj = dup_ring()
+    _, mx = is_local(obj.ring)
+    table = TypeTable(obj.ring, mx)
+    z4 = zmod(4)
+    _, mx4 = is_local(z4)
+    whole4 = submodule_span(z4, 1, [(z4.one(),)])
+    with pytest.raises(ValueError):
+        minimal_resolution(z4, whole4, mx4, 2, table=table)
+    with pytest.raises(ValueError):
+        is_projective(z4, whole4, mx4, table=table)
+    # the same ring with an ideal that is not its maximal ideal
+    with pytest.raises(ValueError):
+        minimal_resolution(obj.ring, obj.mj, obj.zero_j, 2, table=table)
+    with pytest.raises(ValueError):
+        is_projective(obj.ring, obj.mj, obj.zero_j, table=table)
+    # the right ring and maximal ideal, even as another Ideal object
+    same_mx = ideal_span(obj.ring, mx.element_rows())
+    assert minimal_resolution(obj.ring, obj.mj, same_mx, 2, table=table).betti
+
+
+def test_a_type_table_holds_no_reference_cycle():
+    # the type graph of trunc_t3 has a self-loop; named by key, it still
+    # leaves nothing for the cycle collector once the bundle is dropped
+    gc.collect()
+    gc.disable()
+    try:
+        inst = standard_truncation(3)
+        _, mx = inst.ring_local()
+        table = inst.type_table()
+        res = minimal_resolution(inst.ring, inst.mj, mx, 6, table=table)
+        assert any(t.key in t.children for t in res.types)
+        del inst, table, mx, res
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        leaked = [type(o).__name__ for o in gc.garbage
+                  if isinstance(o, (SummandType, TypeTable, am.AmalgamObjects))]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert leaked == []
 
 
 def test_quotient_presentation():
@@ -387,3 +489,21 @@ def test_pd_zero_iff_projective_iff_beta1_zero():
         projective = is_projective(ring, sub, mx)
         pd_zero = res.verdict == ("exact", 0)
         assert projective == (beta1 == 0) == pd_zero
+
+
+def test_corpus_pass_resolves_each_summand_type_once_per_table(monkeypatch):
+    # the three valid corpus files resolved 61 types per pass when every
+    # resolution had a table of its own
+    calls = []
+    resolve = SummandType.resolve
+
+    def counted(self, table):
+        calls.append(self.key)
+        return resolve(self, table)
+
+    monkeypatch.setattr(SummandType, "resolve", counted)
+    for name in ("duplication_z4", "idealization_tower", "truncation_t3"):
+        path = os.path.join(os.path.dirname(__file__), "..", "corpus", f"{name}.ring")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["check", path, "--format", "json", "--seed", "0"]) == 0
+    assert len(calls) <= 40

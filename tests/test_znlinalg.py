@@ -9,10 +9,13 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from amalgam.znlinalg import (
     DimensionMismatch,
     ZnMatrix,
+    _Gf2Builder,
+    _GenericBuilder,
     enumerate_span,
     howell,
     howell_from_rows,
@@ -24,34 +27,7 @@ from amalgam.znlinalg import (
     span_size,
 )
 
-
-def brute_span(modulus, rows):
-    """All Z/N-combinations of the given rows, as a set of tuples."""
-    if not rows:
-        return {()}
-    width = len(rows[0])
-    vecs = {(0,) * width}
-    for r in rows:
-        vecs = {
-            tuple((a + k * b) % modulus for a, b in zip(v, r))
-            for v in vecs
-            for k in range(modulus)
-        }
-    return vecs
-
-
-def brute_left_kernel(m):
-    n, r = m.modulus, m.rows
-    out = set()
-    for x in product(range(n), repeat=r):
-        prod_row = [0] * m.cols
-        for i, xi in enumerate(x):
-            if xi:
-                for j, e in enumerate(m.row(i)):
-                    prod_row[j] = (prod_row[j] + xi * e) % n
-        if not any(prod_row):
-            out.add(x)
-    return out
+from oracles import brute_left_kernel, brute_span
 
 
 def test_howell_already_canonical():
@@ -219,3 +195,97 @@ def test_znmatrix_validation():
         ZnMatrix.from_rows(4, [[1, 2], [1]])
     m = ZnMatrix.from_rows(4, [[5, -1]])
     assert m.row(0) == (1, 3)
+
+
+# -- property tests of both Howell engines against the brute-force oracles -----
+
+# modulus 2 runs the bit-packed _Gf2Builder, every other modulus the
+# _GenericBuilder; shapes stay small enough to enumerate N^rows combinations
+_ENGINES = {2: _Gf2Builder, 4: _GenericBuilder, 8: _GenericBuilder,
+            9: _GenericBuilder, 12: _GenericBuilder}
+
+
+@st.composite
+def _matrices(draw, rows=None):
+    n = draw(st.sampled_from(sorted(_ENGINES)))
+    most = 6 if n == 2 else 3
+    r = draw(st.integers(1, most)) if rows is None else rows
+    c = draw(st.integers(1, most))
+    # entries outside [0, N) check that every entry point reduces mod N
+    entry = st.integers(-n, 2 * n - 1)
+    return n, draw(st.lists(st.lists(entry, min_size=c, max_size=c),
+                            min_size=r, max_size=r))
+
+
+def _reduced(n, rows):
+    return [[e % n for e in row] for row in rows]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_matrices(), st.data())
+def test_howell_form_is_canonical_on_both_engines(matrix, data):
+    n, rows = matrix
+    assert type(span_builder(n, len(rows[0]))) is _ENGINES[n]
+    h = howell_from_rows(n, rows, len(rows[0]))
+    span = brute_span(n, _reduced(n, rows))
+    assert enumerate_span(h) == span
+    assert span_size(h) == len(span)
+    # Howell shape: increasing pivots dividing N, entries above reduced
+    cols = [j for j, _ in h.pivots]
+    assert cols == sorted(set(cols))
+    for i, (j, a) in enumerate(h.pivots):
+        assert n % a == 0
+        assert all(h.rows[k][j] < a for k in range(i))
+    # the same span presented otherwise: shuffled, with redundant
+    # combinations, each row scaled by a unit
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+    units = [u for u in range(1, n) if all(u * k % n for k in range(1, n))]
+    other = []
+    for row in rows:
+        u = rng.choice(units)
+        other.append([u * e for e in row])
+    for _ in range(rng.randint(0, 3)):
+        coeffs = [rng.randrange(n) for _ in rows]
+        other.append([sum(c * row[t] for c, row in zip(coeffs, rows))
+                      for t in range(len(rows[0]))])
+    rng.shuffle(other)
+    assert howell_from_rows(n, other, len(rows[0])) == h
+    # and a different span gives a different basis
+    extra = data.draw(st.lists(st.integers(0, n - 1), min_size=len(rows[0]),
+                               max_size=len(rows[0])))
+    grown = howell_from_rows(n, rows + [extra], len(rows[0]))
+    assert (grown == h) == (tuple(extra) in span)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_matrices())
+def test_kernel_matches_the_oracle_on_both_engines(matrix):
+    n, rows = matrix
+    m = ZnMatrix.from_rows(n, rows)
+    k = kernel(m)
+    assert enumerate_span(k) == brute_left_kernel(m)
+    assert k == howell_from_rows(n, k.rows, m.rows)
+    assert span_size(k) * span_size(howell(m)) == n ** m.rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(_matrices(), st.data())
+def test_solve_matches_the_oracle_on_both_engines(matrix, data):
+    n, rows = matrix
+    m = ZnMatrix.from_rows(n, rows)
+    span = brute_span(n, _reduced(n, rows))
+    if data.draw(st.booleans()):
+        b = data.draw(st.sampled_from(sorted(span)))
+    else:
+        b = tuple(data.draw(st.lists(st.integers(0, n - 1), min_size=m.cols,
+                                     max_size=m.cols)))
+    x = solve(m, b)
+    assert (x is not None) == (b in span)
+    if x is not None:
+        image = [sum(xi * m.row(i)[j] for i, xi in enumerate(x)) % n
+                 for j in range(m.cols)]
+        assert image == list(b)
+        # the canonical pick: the smallest solution x + ker
+        coset = {tuple((xi + ki) % n for xi, ki in zip(x, k))
+                 for k in brute_left_kernel(m)}
+        assert x == min(coset)
