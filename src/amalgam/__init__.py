@@ -14,13 +14,14 @@ Layers, bottom up:
 
 __version__ = "0.1.0"
 
-from .znlinalg import (HowellBasis, ZnMatrix, howell, kernel, solve,
+from .znlinalg import (HowellBasis, Solver, ZnMatrix, howell, kernel, solve,
                        span_contains, span_equal, span_size)
 from .rings import (FiniteRing, ModuleSpec, RingElement, RingHom, product,
                     trivial_extension, trunc_poly, verify_ring, zmod)
 from .modules import (CokernelSpec, Ideal, Resolution, Submodule,
-                      global_dimension_signature, ideal_span, is_projective,
-                      minimal_generators, minimal_resolution, module_equal,
+                      global_dimension_signature, ideal_span, ideal_sum,
+                      is_projective, minimal_generators, minimal_resolution,
+                      module_equal,
                       module_quotient_presentation, pd_report,
                       submodule_span, syzygy)
 from .spectrum import (idempotents, is_field, is_local, is_regular,
@@ -31,12 +32,12 @@ from .instances import (standard_duplication, standard_idealization_tower,
                         standard_instances, standard_truncation)
 
 __all__ = [
-    "HowellBasis", "ZnMatrix", "howell", "kernel", "solve", "span_contains",
+    "HowellBasis", "Solver", "ZnMatrix", "howell", "kernel", "solve", "span_contains",
     "span_equal", "span_size",
     "FiniteRing", "ModuleSpec", "RingElement", "RingHom", "product",
     "trivial_extension", "trunc_poly", "verify_ring", "zmod",
     "CokernelSpec", "Ideal", "Resolution", "Submodule",
-    "global_dimension_signature", "ideal_span", "is_projective",
+    "global_dimension_signature", "ideal_span", "ideal_sum", "is_projective",
     "minimal_generators", "minimal_resolution", "module_equal",
     "module_quotient_presentation", "pd_report", "submodule_span", "syzygy",
     "idempotents", "is_field", "is_local", "is_regular", "maximal_ideals",

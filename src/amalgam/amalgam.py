@@ -15,7 +15,7 @@ and the subring f(A) + J of B.
 
 from math import lcm
 
-from .znlinalg import ZnMatrix, solve, span_builder
+from .znlinalg import Solver, ZnMatrix, span_builder
 from .rings import (DEFAULT_MAX_ORDER, FiniteRing, RingConstructionError,
                     RingElement, RingHom)
 from .abgroups import subgroup_decomposition
@@ -24,17 +24,19 @@ from . import spectrum
 
 
 class _SubgroupCoords:
-    """Coordinate solver for a cyclic basis of an additive subgroup."""
+    """Coordinate solver for a cyclic basis of an additive subgroup; the
+    basis matrix is factored once and each element costs one reduction."""
 
     def __init__(self, ambient, basis_elems, orders):
         self.ambient = ambient
         self.basis_elems = list(basis_elems)
         self.orders = list(orders)
         rows = [list(ambient.scaled(e.coords)) for e in self.basis_elems]
-        self.matrix = ZnMatrix.from_rows(ambient.char, rows, ambient.rank)
+        self.solver = Solver(ZnMatrix.from_rows(ambient.char, rows,
+                                                ambient.rank))
 
     def coords(self, target):
-        sol = solve(self.matrix, list(self.ambient.scaled(target.coords)))
+        sol = self.solver.solve(self.ambient.scaled(target.coords))
         if sol is None:
             raise ValueError(f"element {target!r} is not in the subgroup")
         return tuple(c % o for c, o in zip(sol, self.orders))
@@ -155,7 +157,7 @@ class AmalgamObjects:
         self.zero_j = ideal_span(self.ring,
                                  [self.embed(ring_a.zero(), e) for e in j_elems])
         assert self.zero_j.size() == ideal_j.size()
-        self.a_local, self.a_max = spectrum.is_local(ring_a, budget)
+        self.a_local, self.a_max = spectrum.is_local(ring_a)
         self.mj = self.mj_of(self.a_max) if self.a_local else None
         self.subring, self.subring_incl = image_plus_J(hom, ideal_j)
         self._j_in_subring = None
@@ -168,13 +170,13 @@ class AmalgamObjects:
     def ring_local(self):
         """(flag, maximal ideal) of the constructed ring, cached."""
         if self._ring_local is None:
-            self._ring_local = spectrum.is_local(self.ring, self.budget)
+            self._ring_local = spectrum.is_local(self.ring)
         return self._ring_local
 
     def subring_local(self):
         """(flag, maximal ideal) of the subring f(A) + J, cached."""
         if self._subring_local is None:
-            self._subring_local = spectrum.is_local(self.subring, self.budget)
+            self._subring_local = spectrum.is_local(self.subring)
         return self._subring_local
 
     def type_table(self):

@@ -18,8 +18,8 @@ import random
 import time
 
 from .rings import DEFAULT_MAX_ORDER, BudgetExceededError
-from .modules import (CokernelSpec, TypeTable, ideal_span, is_projective,
-                      minimal_generators, minimal_resolution,
+from .modules import (CokernelSpec, TypeTable, ideal_span, ideal_sum,
+                      is_projective, minimal_generators, minimal_resolution,
                       submodule_span, syzygy)
 from . import spectrum
 from .amalgam import (AmalgamObjects, hom_power, ideal_in_subring,
@@ -99,8 +99,9 @@ def check_hypotheses(ring_a, ring_b, hom, ideal_j, budget=DEFAULT_MAX_ORDER,
     and its locality then come from the bundle instead of being rebuilt.
     """
     witnesses = {}
-    a_local, m_a = spectrum.is_local(ring_a, budget)
-    if not a_local:
+    a_local, m_a = spectrum.is_local(ring_a)
+    # the idempotent is only a witness: past the budget it is left out
+    if not a_local and ring_a.order() <= budget:
         nontrivial = [e for e in spectrum.idempotents(ring_a, budget)
                       if not e.is_zero() and e != ring_a.one()]
         if nontrivial:
@@ -140,7 +141,7 @@ def check_hypotheses(ring_a, ring_b, hom, ideal_j, budget=DEFAULT_MAX_ORDER,
     try:
         if bundle is None:
             sub, incl = image_plus_J(hom, ideal_j)
-            subring_local, m_c = spectrum.is_local(sub, budget)
+            subring_local, m_c = spectrum.is_local(sub)
         else:
             sub, incl = bundle.subring, bundle.subring_incl
             subring_local, m_c = bundle.subring_local()
@@ -502,12 +503,10 @@ def verify_thm_3_1_objects(am, k_elem, depth=DEFAULT_DEPTH):
         ann_is_mj = syz.basis == am.mj.basis
         self_ann = all((gen * x).is_zero() for x in ideal_i.element_rows())
         local, mx = am.ring_local()
-        table = am.type_table()
-        projective = is_projective(am.ring, ideal_i, mx, table=table)
+        projective = is_projective(am.ring, ideal_i, mx)
         whole = submodule_span(am.ring, 1, [(am.ring.one(),)])
-        den = submodule_span(am.ring, 1, ideal_i.generators)
-        res = minimal_resolution(am.ring, CokernelSpec(whole, den), mx, depth,
-                                 table=table)
+        res = minimal_resolution(am.ring, CokernelSpec(whole, ideal_i), mx,
+                                 depth, table=am.type_table())
         kind, value = res.verdict
         deep = kind == "at_least" and value >= depth
         ok = ann_is_mj and self_ann and (not projective) and deep
@@ -648,7 +647,7 @@ def pd_profile(ring, depth=8, ideal_budget=512, budget=DEFAULT_MAX_ORDER,
     def run():
         claim = ("tabulated projective-dimension verdicts of quotients by "
                  "ideals; the honest finite-scale proxy for uniform bounds")
-        local, mx = spectrum.is_local(ring, budget)
+        local, mx = spectrum.is_local(ring)
         if not local:
             return CheckResult("pd_profile", claim, "skipped",
                                reason="ring is not local")
@@ -664,9 +663,7 @@ def pd_profile(ring, depth=8, ideal_budget=512, budget=DEFAULT_MAX_ORDER,
                 current = list(ideals.values())
                 for i1 in frontier:
                     for i2 in current:
-                        joined = ideal_span(
-                            ring, list(i1.generator_elements()) +
-                            list(i2.generator_elements()))
+                        joined = ideal_sum(i1, i2)
                         if joined.basis not in ideals:
                             if len(ideals) >= ideal_budget:
                                 return CheckResult(
@@ -695,9 +692,8 @@ def pd_profile(ring, depth=8, ideal_budget=512, budget=DEFAULT_MAX_ORDER,
         for basis, ideal in sorted(ideals.items(), key=lambda kv: kv[0].rows):
             if not ideal.is_proper():
                 continue
-            den = submodule_span(ring, 1, ideal.generators)
-            res = minimal_resolution(ring, CokernelSpec(whole, den), mx, depth,
-                                     table=table)
+            res = minimal_resolution(ring, CokernelSpec(whole, ideal), mx,
+                                     depth, table=table)
             kind, value = res.verdict
             if kind == "exact":
                 max_finite = max(max_finite, value)
@@ -715,12 +711,12 @@ def pd_profile(ring, depth=8, ideal_budget=512, budget=DEFAULT_MAX_ORDER,
     return _timed(run)
 
 
-def gldim_signature(ring, depth=8, budget=DEFAULT_MAX_ORDER):
+def gldim_signature(ring, depth=8):
     """Global-dimension signature: pd verdict of the residue field."""
     def run():
         claim = ("the residue field's resolution terminates exactly for "
                  "fields and resists to the cut-off otherwise")
-        local, mx = spectrum.is_local(ring, budget)
+        local, mx = spectrum.is_local(ring)
         if not local:
             return CheckResult("gldim", claim, "skipped",
                                reason="ring is not local")

@@ -302,8 +302,7 @@ def run_job(builder, job, options):
     if name == "gldim":
         ring = _as_ring(args[0], "ring")
         d = _as_depth(job, args, 1, depth)
-        return checklib.gldim_signature(ring, depth=d,
-                                        budget=options.max_order)
+        return checklib.gldim_signature(ring, depth=d)
     if name == "pd_profile":
         ring = _as_ring(args[0], "ring")
         d = _as_depth(job, args, 1, depth)
@@ -488,7 +487,7 @@ def _run_resolve(text, options):
     claim = f"minimal resolution of {options.module}"
 
     def run():
-        local, mx = spectrum.is_local(ring, options.max_order)
+        local, mx = spectrum.is_local(ring)
         if not local:
             return checklib.CheckResult(
                 "resolve", "minimal resolutions need a local ring", "fail",

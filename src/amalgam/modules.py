@@ -26,7 +26,8 @@ syzygy/Nakayama loop on small inputs.
 from collections import Counter
 from math import prod
 
-from .znlinalg import HowellBasis, ZnMatrix, kernel, span_builder
+from .znlinalg import (HowellBasis, ZnMatrix, howell_from_rows, kernel,
+                       span_builder)
 from .rings import RingElement
 
 DEFAULT_DEPTH = 8
@@ -212,6 +213,16 @@ def submodule_span(ring, p, gens):
 
 def ideal_span(ring, elems):
     return Ideal.from_elements(ring, elems)
+
+
+def ideal_sum(a, b):
+    """The ideal a + b.  It is the additive span of a and b, so its basis
+    is the Howell form of their two bases' rows."""
+    ring = a.ring
+    if b.ring is not ring:
+        raise ValueError("ideals belong to different rings")
+    return Ideal(ring, 1, howell_from_rows(ring.char, a.basis.rows + b.basis.rows,
+                                           ring.rank))
 
 
 def zero_ideal(ring):
@@ -681,11 +692,20 @@ def pd_report(ring, target, max_ideal, depth=DEFAULT_DEPTH):
     return res.verdict
 
 
-def is_projective(ring, target, max_ideal, table=None):
-    """Projective = free over a local ring: the minimal presentation has
-    no relations.  table is as for minimal_resolution."""
-    res = minimal_resolution(ring, target, max_ideal, depth=1, table=table)
-    return len(res.betti) < 2 or res.betti[1] == 0
+def is_projective(ring, target, max_ideal):
+    """Projective = free over a local ring, decided by counting.
+
+    With mu the number of Nakayama generators, R^mu -> M is onto, so M is
+    free iff that map is a bijection, i.e. iff |M| = |R|^mu; no
+    resolution is run.  target is a Submodule or a CokernelSpec.
+    """
+    if isinstance(target, CokernelSpec):
+        num, den = target.num, target.den
+        size = num.size() // den.size()
+    else:
+        num, den, size = target, None, target.size()
+    mu = len(minimal_generators(num, max_ideal, den=den))
+    return size == ring.order() ** mu
 
 
 def residue_field_target(ring, max_ideal):

@@ -3,23 +3,30 @@
 The nilradical is computed without element enumeration: for every prime p
 dividing the characteristic, the p-power map is additive on R/pR, so its
 iterated kernel is a linear-algebra problem over Z/p; the nilradical is the
-intersection of the preimages across primes.  Maximal ideals come from the
-primitive idempotents of R/Nil(R), which is a product of finite fields; the
-locality test is the count of those maximal ideals, so it enumerates only
-R/Nil(R), never R.
+intersection of the preimages across primes.  It is cached on the ring.
+
+Locality is one rank over F_p.  A characteristic with two prime factors
+splits R by CRT.  Otherwise the characteristic is p^k, p lies in Nil(R),
+and R/Nil(R) is a reduced F_p-algebra, i.e. a product of finite fields.
+Frobenius x -> x^p is F_p-linear on it and fixes exactly one copy of F_p
+in each factor, so the number of maximal ideals is dim ker(Frob - I) on
+R/Nil(R) (Berlekamp 1967).  R is local iff that kernel is a line, and then
+Nil(R) is its maximal ideal, so neither R nor R/Nil(R) is enumerated, and
+the residue field R/Nil(R) needs no check: a reduced local finite ring is
+a field.
 
 Operations that genuinely enumerate elements (idempotents, units, the
-semisimple quotient's idempotents) refuse to run past a configurable budget
-instead of silently grinding.
+maximal ideals of a ring that is not local) refuse to run past a
+configurable budget instead of silently grinding.
 """
 
 from math import lcm
 
-from .znlinalg import ZnMatrix, kernel, span_builder
+from .znlinalg import ZnMatrix, howell_from_rows, kernel, span_builder
 from .rings import (DEFAULT_MAX_ORDER, BudgetExceededError, FiniteRing,
                     RingConstructionError, RingHom)
 from .abgroups import quotient_decomposition
-from .modules import NotLocalError, ideal_span, syzygy
+from .modules import Ideal, NotLocalError, ideal_span, syzygy
 
 
 def prime_factors(n):
@@ -87,8 +94,27 @@ def hom_preimage_ideal(pi, target_ideal, kernel_gens):
 
 # -- nilradical ---------------------------------------------------------------
 
+def _frobenius(r, p):
+    """The coordinates of b_i^p for every basis element, cached on the ring."""
+    images = r._cache.get(("frobenius", p))
+    if images is None:
+        images = r._cache[("frobenius", p)] = tuple(
+            (r.basis_element(i) ** p).coords for i in range(r.rank))
+    return images
+
+
 def nilradical(r):
-    """Ideal of nilpotents, by iterated p-power kernels on R/pR per prime."""
+    """Ideal of nilpotents, by iterated p-power kernels on R/pR per prime.
+
+    The basis is cached on the ring (a basis holds no reference to it).
+    """
+    basis = r._cache.get("nilradical")
+    if basis is None:
+        basis = r._cache["nilradical"] = _nilradical_basis(r)
+    return Ideal(r, 1, basis)
+
+
+def _nilradical_basis(r):
     n = r.char
     d = r.rank
     spans = []
@@ -102,10 +128,8 @@ def nilradical(r):
             k_iter += 1
         k_iter = max(k_iter, 1)
         # matrix of x -> x^p on R/pR in the surviving coordinates
-        rows = []
-        for i in alive:
-            img = r.basis_element(i) ** p
-            rows.append([img.coords[j] % p for j in alive])
+        images = _frobenius(r, p)
+        rows = [[images[i][j] % p for j in alive] for i in alive]
         frob = ZnMatrix.from_rows(p, rows, dim) if dim else None
         if dim:
             fk = frob
@@ -127,8 +151,7 @@ def nilradical(r):
     basis = spans[0]
     for other in spans[1:]:
         basis = _span_intersection(n, basis, other)
-    elems = [r.element(r.unscaled(row)) for row in basis.rows]
-    return ideal_span(r, elems)
+    return basis
 
 
 def _span_intersection(n, b1, b2):
@@ -217,11 +240,17 @@ def _semisimple_maximal_ideals(s, budget):
 
 
 def maximal_ideals(r, budget=DEFAULT_MAX_ORDER):
-    """The complete list of maximal ideals, canonically ordered."""
+    """The complete list of maximal ideals, canonically ordered.
+
+    A local ring's is Nil(R); otherwise R/Nil(R) is enumerated (or split
+    by CRT) under the budget.
+    """
+    local, mx = is_local(r)
+    if local:
+        return [mx]
     nil = nilradical(r)
     if nil.size() == 1:
-        semis = _semisimple_maximal_ideals(r, budget)
-        result = semis
+        result = _semisimple_maximal_ideals(r, budget)
     else:
         s, pi = quotient_ring(r, nil)
         nil_gens = nil.element_rows()
@@ -230,34 +259,41 @@ def maximal_ideals(r, budget=DEFAULT_MAX_ORDER):
     return sorted(result, key=lambda ideal: ideal.basis.rows)
 
 
-def is_local(r, budget=DEFAULT_MAX_ORDER):
-    """(flag, maximal ideal or None).
+def is_local(r):
+    """(flag, maximal ideal or None), without enumerating anything.
 
-    A characteristic with two prime factors already yields a nontrivial CRT
-    idempotent, so such a ring is not local.  Otherwise the ring is local
-    iff `maximal_ideals` finds exactly one maximal ideal; that enumerates
-    only R/Nil(R), never R.
+    A characteristic with two prime factors yields a nontrivial CRT
+    idempotent, so such a ring is not local.  For characteristic p^k,
+    with N the rows of Nil(R) mod p and R/pR = F_p^d, the Frobenius-fixed
+    part of R/Nil(R) has dimension d - rank [N ; b_i^p - b_i mod p] (see
+    the module docstring); R is local iff it is 1, with Nil(R) as its
+    maximal ideal.
     """
-    if len(prime_factors(r.char)) > 1:
+    factors = prime_factors(r.char)
+    if len(factors) > 1:
         return False, None
-    mx = maximal_ideals(r, budget)
-    if len(mx) != 1:
+    (p,) = factors
+    d = r.rank
+    nil = nilradical(r)
+    rows = [[c % p for c in r.unscaled(row)] for row in nil.basis.rows]
+    for i, img in enumerate(_frobenius(r, p)):
+        rows.append([(c - (k == i)) % p for k, c in enumerate(img)])
+    if d - len(howell_from_rows(p, rows, d).rows) != 1:
         return False, None
-    return True, mx[0]
+    return True, nil
 
 
-def residue_field(r, budget=DEFAULT_MAX_ORDER):
-    """Quotient by the maximal ideal, with the projection; verified a field."""
-    local, mx = is_local(r, budget)
+def residue_field(r):
+    """Quotient by the maximal ideal, with the projection.
+
+    A reduced local finite ring is a field, so the quotient needs no check.
+    """
+    local, mx = is_local(r)
     if not local:
         raise NotLocalError(f"{r.name} is not local")
-    field, pi = quotient_ring(r, mx)
-    for x in field.elements(budget):
-        if not x.is_zero() and not is_regular(x):
-            raise RingConstructionError("residue quotient is not a field")
-    return field, pi
+    return quotient_ring(r, mx)
 
 
-def is_field(r, budget=DEFAULT_MAX_ORDER):
-    local, mx = is_local(r, budget)
+def is_field(r):
+    local, mx = is_local(r)
     return local and mx.size() == 1

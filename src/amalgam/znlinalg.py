@@ -413,6 +413,17 @@ def howell(m):
     return howell_from_rows(m.modulus, m.row_list(), m.cols)
 
 
+def _augmented_howell(m):
+    """Howell form of [m | I]: its rows span the pairs (x*m, x)."""
+    n, r, c = m.modulus, m.rows, m.cols
+    aug = []
+    for i in range(r):
+        row = list(m.row(i)) + [0] * r
+        row[c + i] = 1
+        aug.append(row)
+    return howell_from_rows(n, aug, c + r)
+
+
 def kernel(m):
     """Canonical basis of the left kernel {x : x*m = 0 (mod N)}.
 
@@ -420,55 +431,63 @@ def kernel(m):
     pairs (x*m, x), and by the saturation property the rows whose leading
     m-part vanishes form a Howell basis of exactly the kernel.
     """
-    n, r, c = m.modulus, m.rows, m.cols
-    aug = []
-    for i in range(r):
-        row = list(m.row(i)) + [0] * r
-        row[c + i] = 1
-        aug.append(row)
-    h = howell_from_rows(n, aug, c + r)
-    out = [row[c:] for row in h.rows if not any(row[:c])]
-    return HowellBasis(n, r, out)
+    c = m.cols
+    out = [row[c:] for row in _augmented_howell(m).rows if not any(row[:c])]
+    return HowellBasis(m.modulus, m.rows, out)
+
+
+class Solver:
+    """x*m = b for any number of right-hand sides b, factoring m once.
+
+    The factorization is the Howell form of [m | I], kept as its rows with
+    a pivot in the m-part and the left kernel of m (the other rows, see
+    kernel).  Each solve is one greedy reduction of b along the former,
+    which accumulates a particular solution x, and one reduction of x
+    modulo the kernel.
+    """
+
+    __slots__ = ("cols", "kernel", "_reducers")
+
+    def __init__(self, m):
+        n, c = m.modulus, m.cols
+        h = _augmented_howell(m)
+        self.cols = c
+        # pivot columns increase, so the m-part pivots come first
+        self._reducers = [(j, a, row[:c], row[c:])
+                          for row, (j, a) in zip(h.rows, h.pivots) if j < c]
+        self.kernel = HowellBasis(
+            n, m.rows, [row[c:] for row in h.rows[len(self._reducers):]])
+
+    def solve(self, b):
+        """The canonical solution x of x*m = b, or None.
+
+        x is the lexicographically smallest representative of its coset
+        modulo the left kernel, so equal inputs always give the identical
+        answer.
+        """
+        if len(b) != self.cols:
+            raise DimensionMismatch(f"rhs length {len(b)} != cols {self.cols}")
+        n, r = self.kernel.modulus, self.kernel.ambient
+        v = [e % n for e in b]
+        x = [0] * r
+        for j, a, image, coeffs in self._reducers:
+            if not v[j]:
+                continue
+            if v[j] % a:
+                return None
+            q = v[j] // a
+            for t in range(j, self.cols):
+                v[t] = (v[t] - q * image[t]) % n
+            for t in range(r):
+                x[t] = (x[t] + q * coeffs[t]) % n
+        if any(v):
+            return None
+        return self.kernel.reduce(x)
 
 
 def solve(m, b):
-    """Deterministic solution x of x*m = b, or None.
-
-    The particular solution is found by greedy reduction of b against the
-    Howell form of [m | I]; it is then normalized to the canonical
-    (lexicographically smallest) representative of its coset modulo the
-    left kernel of m, so equal inputs always give the identical answer.
-    """
-    b = list(b)
-    if len(b) != m.cols:
-        raise DimensionMismatch(f"rhs length {len(b)} != cols {m.cols}")
-    n, r, c = m.modulus, m.rows, m.cols
-    aug = []
-    for i in range(r):
-        row = list(m.row(i)) + [0] * r
-        row[c + i] = 1
-        aug.append(row)
-    h = howell_from_rows(n, aug, c + r)
-    v = [e % n for e in b]
-    x = [0] * r
-    ker_rows = []
-    for row, (j, a) in zip(h.rows, h.pivots):
-        if j >= c:
-            ker_rows.append(row[c:])
-            continue
-        if not v[j]:
-            continue
-        if v[j] % a:
-            return None
-        q = v[j] // a
-        for t in range(j, c):
-            v[t] = (v[t] - q * row[t]) % n
-        for t in range(r):
-            x[t] = (x[t] + q * row[c + t]) % n
-    if any(v):
-        return None
-    kb = HowellBasis(n, r, ker_rows)
-    return kb.reduce(x)
+    """Deterministic solution x of x*m = b, or None: Solver(m).solve(b)."""
+    return Solver(m).solve(list(b))
 
 
 def span_contains(h, v):

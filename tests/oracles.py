@@ -60,6 +60,21 @@ def brute_span(modulus, rows):
     return vecs
 
 
+def brute_solve(m, b):
+    """The lexicographically smallest x with x*m = b, or None."""
+    n = m.modulus
+    b = [e % n for e in b]
+    for x in iproduct(range(n), repeat=m.rows):  # in lexicographic order
+        acc = [0] * m.cols
+        for i, xi in enumerate(x):
+            if xi:
+                for j, e in enumerate(m.row(i)):
+                    acc[j] = (acc[j] + xi * e) % n
+        if acc == b:
+            return x
+    return None
+
+
 def brute_left_kernel(m):
     n, r = m.modulus, m.rows
     out = set()
@@ -116,6 +131,14 @@ def brute_is_local(r):
     idempotents; checked over every element."""
     one = r.one()
     return all(x.is_zero() or x == one for x in r.elements() if x * x == x)
+
+
+def brute_is_field(r):
+    """Every nonzero element has an inverse; checked over every pair."""
+    elems = list(r.elements())
+    one = r.one()
+    return all(any(x * y == one for y in elems)
+               for x in elems if not x.is_zero())
 
 
 def dense_resolution(ring, target, max_ideal, depth):

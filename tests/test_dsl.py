@@ -8,10 +8,10 @@ import sys
 
 import pytest
 
-from amalgam import cli, dsl
+from amalgam import cli, dsl, spectrum
 from amalgam.dsl import DslSemanticError, DslSyntaxError, parse, serialize
 from amalgam.report import Report, input_digest
-from amalgam.rings import trunc_poly, verify_ring, zmod
+from amalgam.rings import BudgetExceededError, trunc_poly, verify_ring, zmod
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
 SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
@@ -197,20 +197,44 @@ def test_resolve_of_a_ring_is_an_input_error(capsys, tmp_path):
     assert "input error" in out.err and "'A'" in out.err
 
 
-def test_budget_error_in_a_job_is_a_skipped_record(capsys, tmp_path):
-    # A is not local, so the hypotheses job enumerates A (order 8) for an
-    # idempotent witness, past the budget of 4
+def test_budget_error_in_a_job_is_a_skipped_record(capsys, tmp_path,
+                                                  monkeypatch):
+    # no shipped job lets a budget error out any more, so the maximal
+    # ideals remark21 enumerates are made to refuse
+    def refuse(ring, budget):
+        raise BudgetExceededError(
+            f"ring of order {ring.order()} exceeds enumeration budget {budget}")
+
+    monkeypatch.setattr(spectrum, "maximal_ideals", refuse)
     path = tmp_path / "too_big.ring"
+    path.write_text("A = zmod(4)\nI = ideal(A, [[2]])\nD = duplication(A, I)\n"
+                    "job remark21(D)\n")
+    assert run_cli(["check", str(path), "--format", "json",
+                    "--max-order", "4"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    [record] = payload["checks"]
+    assert record["name"] == "remark21" and record["status"] == "skipped"
+    assert record["reason"] == "ring of order 8 exceeds enumeration budget 4"
+
+
+@pytest.mark.parametrize("max_order, witness", [("4", False), ("8", True)])
+def test_hypotheses_over_a_non_local_base_fail_within_or_past_the_budget(
+        capsys, tmp_path, max_order, witness):
+    # A is not local; the idempotent witness needs A (order 8) enumerated,
+    # and past the budget it is left out, but the record fails either way
+    path = tmp_path / "non_local.ring"
     path.write_text("A = product(zmod(2), zmod(4))\n"
                     "I = ideal(A, [[0, 2]])\n"
                     "D = duplication(A, I)\n"
                     "job hypotheses(D)\n")
     assert run_cli(["check", str(path), "--format", "json",
-                    "--max-order", "4"]) == 0
+                    "--max-order", max_order]) == 1
     payload = json.loads(capsys.readouterr().out)
     [record] = payload["checks"]
-    assert record["name"] == "hypotheses" and record["status"] == "skipped"
-    assert record["reason"] == "ring of order 8 exceeds enumeration budget 4"
+    assert record["name"] == "hypotheses" and record["status"] == "fail"
+    assert record["reason"] == "hypothesis set violated"
+    assert record["witnesses"]["a_local"] is False
+    assert ("a_nontrivial_idempotent" in record["witnesses"]["detail"]) == witness
 
 
 def test_gldim_of_a_ring_past_the_budget_needs_no_enumeration(capsys,
@@ -228,20 +252,24 @@ def test_gldim_of_a_ring_past_the_budget_needs_no_enumeration(capsys,
 _TWO_FIELDS = "A = product(zmod(2), zmod(2))\nI = ideal(A, [[1, 0]])\n"
 
 
-@pytest.mark.parametrize("args, name", [
-    (["resolve", "--module", "I"], "resolve"),
-    (["spectrum", "--ring", "A"], "spectrum"),
+# locality enumerates nothing, so resolve finds F_2 x F_2 not local under
+# any budget; listing its maximal ideals still enumerates it
+@pytest.mark.parametrize("args, name, status, reason", [
+    (["resolve", "--module", "I"], "resolve", "fail", "ring is not local"),
+    (["spectrum", "--ring", "A"], "spectrum", "skipped",
+     "exceeds the enumeration budget"),
 ], ids=["resolve", "spectrum"])
 def test_budget_error_in_resolve_and_spectrum_is_a_skipped_record(
-        capsys, tmp_path, args, name):
+        capsys, tmp_path, args, name, status, reason):
     path = tmp_path / "two_fields.ring"
     path.write_text(_TWO_FIELDS)
     assert run_cli([args[0], str(path)] + args[1:] +
-                   ["--format", "json", "--max-order", "2"]) == 0
+                   ["--format", "json", "--max-order", "2"]) == (
+                       1 if status == "fail" else 0)
     payload = json.loads(capsys.readouterr().out)
     [record] = payload["checks"]
-    assert record["name"] == name and record["status"] == "skipped"
-    assert "exceeds the enumeration budget" in record["reason"]
+    assert record["name"] == name and record["status"] == status
+    assert reason in record["reason"]
 
 
 def test_text_summary_counts_skipped_records_apart(capsys, tmp_path):
@@ -363,3 +391,14 @@ def test_the_cli_digests_its_input_without_openssl():
     assert loaded == "False"
     assert digest == "sha256:" + hashlib.sha256(b"A = zmod(4)\n").hexdigest()
     assert input_digest("A = zmod(4)\n") == digest
+
+
+def test_python_m_amalgam_runs_the_cli_from_a_checkout(capsys):
+    path = corpus_path("duplication_z4.ring")
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-m", "amalgam", "check", path,
+                           "--format", "json"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert run_cli(["check", path, "--format", "json"]) == 0
+    assert proc.stdout == capsys.readouterr().out

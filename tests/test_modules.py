@@ -12,12 +12,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from amalgam.instances import standard_truncation
-from amalgam.rings import trunc_poly, zmod
+from amalgam.rings import product, trunc_poly, zmod
 from amalgam.modules import (
     SummandType,
     TypeTable,
     global_dimension_signature,
     ideal_span,
+    ideal_sum,
     is_projective,
     minimal_generators,
     minimal_resolution,
@@ -390,13 +391,9 @@ def test_a_type_table_for_another_ring_or_maximal_ideal_is_refused():
     whole4 = submodule_span(z4, 1, [(z4.one(),)])
     with pytest.raises(ValueError):
         minimal_resolution(z4, whole4, mx4, 2, table=table)
-    with pytest.raises(ValueError):
-        is_projective(z4, whole4, mx4, table=table)
     # the same ring with an ideal that is not its maximal ideal
     with pytest.raises(ValueError):
         minimal_resolution(obj.ring, obj.mj, obj.zero_j, 2, table=table)
-    with pytest.raises(ValueError):
-        is_projective(obj.ring, obj.mj, obj.zero_j, table=table)
     # the right ring and maximal ideal, even as another Ideal object
     same_mx = ideal_span(obj.ring, mx.element_rows())
     assert minimal_resolution(obj.ring, obj.mj, same_mx, 2, table=table).betti
@@ -469,9 +466,12 @@ def test_is_projective_examples():
     assert not is_projective(r, obj.mj, mx)
 
 
-def test_pd_zero_iff_projective_iff_beta1_zero():
-    # three-way agreement on a corpus of small modules
+def test_pd_zero_iff_projective_iff_beta1_zero(instances):
+    # three-way agreement between the counting test |M| = |R|^mu and the
+    # resolution, on small submodules and cokernels and on the modules
+    # the thm31 and betti jobs ask about
     rng = random.Random(8)
+    scalars = random.Random(9)  # leaves rng's draws of the submodules as they were
     corpus = []
     obj = dup_ring()
     for ring in (zmod(4), zmod(8), zmod(9), trunc_poly(2, 2), obj.ring):
@@ -480,15 +480,58 @@ def test_pd_zero_iff_projective_iff_beta1_zero():
             p = rng.randint(1, 2)
             gens = [tuple(rng.choice(elems) for _ in range(p))
                     for _ in range(rng.randint(1, 2))]
-            corpus.append((ring, submodule_span(ring, p, gens)))
-    assert len(corpus) >= 20
-    for ring, sub in corpus:
+            sub = submodule_span(ring, p, gens)
+            corpus.append((ring, sub))
+            # sub over a submodule of it, and the free R^p over sub
+            multiples = []
+            for g in gens:
+                c = scalars.choice(elems)
+                multiples.append(tuple(c * x for x in g))
+            den = submodule_span(ring, p, multiples)
+            units = [tuple(ring.one() if t == s else ring.zero()
+                           for t in range(p)) for s in range(p)]
+            free = submodule_span(ring, p, units)
+            corpus.append((ring, module_quotient_presentation(ring, sub, den)))
+            corpus.append((ring, module_quotient_presentation(ring, free, sub)))
+    for am in instances.values():
+        r = am.ring
+        whole = submodule_span(r, 1, [(r.one(),)])
+        corpus += [(r, am.mj), (r, am.zero_j), (r, whole),
+                   (r, module_quotient_presentation(r, whole, am.mj))]
+        for e in am.j_group_basis:
+            ideal = ideal_span(r, [am.embed(am.a.zero(), e)])
+            corpus += [(r, ideal),
+                       (r, module_quotient_presentation(r, whole, ideal))]
+    assert len(corpus) >= 100
+    verdicts = set()
+    for ring, target in corpus:
         _, mx = is_local(ring)
-        res = minimal_resolution(ring, sub, mx, depth=1)
+        res = minimal_resolution(ring, target, mx, depth=1)
         beta1 = res.betti[1] if len(res.betti) > 1 else 0
-        projective = is_projective(ring, sub, mx)
+        projective = is_projective(ring, target, mx)
         pd_zero = res.verdict == ("exact", 0)
         assert projective == (beta1 == 0) == pd_zero
+        verdicts.add(projective)
+    assert verdicts == {True, False}
+
+
+_SUM_RINGS = (zmod(12), trunc_poly(2, 3), trunc_poly(4, 2),
+              product(zmod(4), zmod(2)), dup_ring().ring)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_ideal_sum_is_the_span_of_both_generator_sets(data):
+    ring = data.draw(st.sampled_from(_SUM_RINGS))
+    elems = st.lists(st.tuples(*[st.integers(0, o - 1) for o in ring.orders])
+                     .map(ring.element), max_size=3)
+    xs, ys = data.draw(elems), data.draw(elems)
+    i, j = ideal_span(ring, xs), ideal_span(ring, ys)
+    total = ideal_sum(i, j)
+    assert total.basis == ideal_span(ring, xs + ys).basis
+    assert total.contains_submodule(i) and total.contains_submodule(j)
+    with pytest.raises(ValueError):
+        ideal_sum(i, ideal_span(zmod(3), []))
 
 
 def test_corpus_pass_resolves_each_summand_type_once_per_table(monkeypatch):

@@ -19,7 +19,7 @@ from amalgam.rings import (
 )
 from amalgam.amalgam import duplication, hom_power, ring_power
 from amalgam.instances import standard_instances
-from amalgam.modules import basis_action_rows, ideal_span
+from amalgam.modules import NotLocalError, basis_action_rows, ideal_span
 from amalgam.spectrum import (
     idempotents,
     is_field,
@@ -34,8 +34,9 @@ from amalgam.spectrum import (
 )
 
 
-from oracles import (brute_is_local, brute_maximal_ideals, dense_action_rows,
-                     dense_apply_coords, dense_mul_coords, ideal_elements)
+from oracles import (brute_is_field, brute_is_local, brute_maximal_ideals,
+                     dense_action_rows, dense_apply_coords, dense_mul_coords,
+                     ideal_elements)
 
 
 def test_zmod_shapes():
@@ -186,17 +187,34 @@ def test_maximal_ideals_against_bruteforce():
         assert mine == brute, ring.name
 
 
+def _f4():
+    """F_2[x]/(x^2 + x + 1), the field of four elements."""
+    return FiniteRing(2, (2, 2), [[(1, 0), (0, 1)], [(0, 1), (1, 1)]], (1, 0),
+                      labels=("1", "x"), name="F4")
+
+
+def _galois_ring():
+    """The Galois ring (Z/4)[x]/(x^2 + x + 1): x * x = 3x + 3."""
+    return FiniteRing(4, (4, 4), [[(1, 0), (0, 1)], [(0, 1), (3, 3)]], (1, 0),
+                      labels=("1", "x"), name="GR(4,2)")
+
+
 def _locality_rings(instances):
     z4 = zmod(4)
     t3 = trunc_poly(2, 3)
     x = t3.basis_element(1)
     z12 = zmod(12)
     p24 = product(zmod(2), zmod(4))
+    f4 = _f4()
+    # residue fields that are not prime fields: Frobenius fixes fewer
+    # dimensions than R/Nil(R) has
     rings = [z4, zmod(6), z12, p24,
              product(trunc_poly(2, 2), zmod(2)),
              quotient_ring(t3, ideal_span(t3, [x * x]))[0],
              quotient_ring(z12, ideal_span(z12, [z12.from_int(4)]))[0],
-             quotient_ring(p24, ideal_span(p24, [p24.element((0, 2))]))[0]]
+             quotient_ring(p24, ideal_span(p24, [p24.element((0, 2))]))[0],
+             f4, _galois_ring(), product(f4, zmod(2)), product(f4, _f4()),
+             product(f4, trunc_poly(2, 2))]
     for am in instances.values():
         rings += [am.ring, am.a, am.b, am.subring]
     return rings
@@ -209,8 +227,38 @@ def test_is_local_against_bruteforce(instances):
         brute = brute_maximal_ideals(ring)
         if local:
             assert brute == {frozenset(ideal_elements(mx))}, ring.name
+            assert maximal_ideals(ring)[0].basis == mx.basis, ring.name
         else:
             assert mx is None and len(brute) > 1, ring.name
+            mine = {frozenset(ideal_elements(m)) for m in maximal_ideals(ring)}
+            assert mine == brute, ring.name
+
+
+def test_residue_field_against_bruteforce(instances):
+    for ring in _locality_rings(instances):
+        local, mx = is_local(ring)
+        if not local:
+            with pytest.raises(NotLocalError):
+                residue_field(ring)
+            continue
+        field, pi = residue_field(ring)
+        assert field.order() * mx.size() == ring.order(), ring.name
+        assert brute_is_field(field), ring.name
+        assert all(pi(x).is_zero() for x in mx.element_rows()), ring.name
+        assert pi(ring.one()) == field.one(), ring.name
+
+
+def test_is_local_of_a_product_of_fields_past_the_budget():
+    # F_2^17 has order 2^17 > the default budget; Frobenius fixes all 17
+    # dimensions, and nothing is enumerated
+    ring = zmod(2)
+    for _ in range(16):
+        ring = product(ring, zmod(2))
+    assert ring.order() == 2 ** 17
+    assert is_local(ring) == (False, None)
+    assert not is_field(ring)
+    with pytest.raises(BudgetExceededError):
+        maximal_ideals(ring)
 
 
 def test_is_local_past_the_budget():
@@ -299,10 +347,8 @@ def _arithmetic_cases():
     quo, pi = quotient_ring(z4x, ideal_span(z4x, [z4x.element((0, 2, 0))]))
     cases["Z4[x]/(x^3)"] = (z4x, [pi])
     cases["Z4[x]/(x^3, 2x)"] = (quo, [RingHom.identity(quo)])
-    # the Galois ring (Z/4)[x]/(x^2 + x + 1): x * x = 3x + 3 has two
-    # nonzero coordinates
-    gr = FiniteRing(4, (4, 4), [[(1, 0), (0, 1)], [(0, 1), (3, 3)]], (1, 0),
-                    labels=("1", "x"), name="GR(4,2)")
+    # in the Galois ring x * x = 3x + 3 has two nonzero coordinates
+    gr = _galois_ring()
     assert verify_ring(gr).ok
     frob = RingHom(gr, gr, [(1, 0), (3, 3)])  # x -> x^2 = -1 - x
     cases["GR(4,2)"] = (gr, [frob])

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from amalgam.znlinalg import (
     DimensionMismatch,
+    Solver,
     ZnMatrix,
     _Gf2Builder,
     _GenericBuilder,
@@ -27,7 +28,7 @@ from amalgam.znlinalg import (
     span_size,
 )
 
-from oracles import brute_left_kernel, brute_span
+from oracles import brute_left_kernel, brute_solve, brute_span
 
 
 def test_howell_already_canonical():
@@ -289,3 +290,21 @@ def test_solve_matches_the_oracle_on_both_engines(matrix, data):
         coset = {tuple((xi + ki) % n for xi, ki in zip(x, k))
                  for k in brute_left_kernel(m)}
         assert x == min(coset)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_matrices(), st.data())
+def test_one_solver_serves_many_right_hand_sides(matrix, data):
+    n, rows = matrix
+    m = ZnMatrix.from_rows(n, rows)
+    solver = Solver(m)
+    assert solver.kernel == kernel(m)
+    span = sorted(brute_span(n, _reduced(n, rows)))
+    anything = st.lists(st.integers(-n, 2 * n - 1), min_size=m.cols,
+                        max_size=m.cols)
+    rhs = data.draw(st.lists(st.one_of(st.sampled_from(span), anything),
+                             min_size=1, max_size=8))
+    for b in rhs:
+        assert solver.solve(b) == brute_solve(m, b) == solve(m, b)
+    with pytest.raises(DimensionMismatch):
+        solver.solve([0] * (m.cols + 1))
