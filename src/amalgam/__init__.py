@@ -3,6 +3,7 @@
 Layers, bottom up:
 
 * znlinalg  -- canonical linear algebra over Z/N (Howell normal form);
+* abgroups  -- cyclic decompositions of finite abelian groups;
 * rings     -- structure-constant rings, homs, basic constructors;
 * modules   -- submodules, syzygies, minimal free resolutions;
 * spectrum  -- nilradical, idempotents, locality, maximal ideals;

@@ -7,6 +7,9 @@ matrices; only the column transform and its inverse are tracked, which is
 all the change-of-basis bookkeeping requires.
 """
 
+from .znlinalg import _xgcd
+
+
 def _swap_cols(a, t, tinv, i, j):
     for row in a:
         row[i], row[j] = row[j], row[i]
@@ -99,8 +102,6 @@ def smith_diagonalize(rows, ncols):
         while True:
             for i in range(k + 1, m):
                 improve_rows(k, i, k)
-            if all(a[i][k] == 0 for i in range(k + 1, m)):
-                pass
             for j in range(k + 1, ncols):
                 improve_cols(k, j, k)
             rows_clear = all(a[i][k] == 0 for i in range(k + 1, m))
@@ -116,20 +117,6 @@ def smith_diagonalize(rows, ncols):
         d = a[j][j] if j < m and j < ncols else 0
         diag.append(abs(d))
     return diag, t, tinv
-
-
-def _xgcd(a, b):
-    s, s1 = 1, 0
-    u, u1 = 0, 1
-    g, g1 = a, b
-    while g1:
-        q = g // g1
-        s, s1 = s1, s - q * s1
-        u, u1 = u1, u - q * u1
-        g, g1 = g1, g - q * g1
-    if g < 0:
-        s, u, g = -s, -u, -g
-    return g, s, u
 
 
 def quotient_decomposition(relation_rows, orders):

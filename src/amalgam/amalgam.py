@@ -13,13 +13,12 @@ projection onto A, {0} x J, M |><| J for the maximal ideal of a local A,
 and the subring f(A) + J of B.
 """
 
-from math import lcm
-
 from .znlinalg import Solver, ZnMatrix, span_builder
 from .rings import (DEFAULT_MAX_ORDER, FiniteRing, RingConstructionError,
-                    RingElement, RingHom)
+                    RingElement, RingHom, derived_ring)
 from .abgroups import subgroup_decomposition
-from .modules import TypeTable, ideal_span, minimal_generators
+from .modules import (TypeTable, _flat_scaled_coords, ideal_span,
+                      select_generators)
 from . import spectrum
 
 
@@ -76,17 +75,9 @@ def image_plus_J(f, j):
         raise RingConstructionError("f(A) + J collapsed to the zero group")
     basis_elems = [b.element(tuple(r)) for r in basis_rows]
     coords = _SubgroupCoords(b, basis_elems, orders)
-    d = len(orders)
-    tensor = []
-    for i in range(d):
-        row = []
-        for k in range(d):
-            row.append(coords.coords(basis_elems[i] * basis_elems[k]))
-        tensor.append(tuple(row))
-    unit = coords.coords(b.one())
-    sub = FiniteRing(lcm(*orders), tuple(orders), tensor, unit,
-                     labels=tuple(f"c{i}" for i in range(d)),
-                     name=f"f({f.source.name})+J")
+    sub = derived_ring(b, orders, [e.coords for e in basis_elems],
+                       lambda x: coords.coords(RingElement(b, x)),
+                       "c", f"f({f.source.name})+J")
     incl = RingHom(sub, b, [e.coords for e in basis_elems])
     return sub, incl
 
@@ -233,48 +224,40 @@ class AmalgamObjects:
         return self._j_in_subring
 
     def j_subring_generators(self):
-        """Minimal generators of J over f(A) + J, as elements of B, cached.
-
-        Over a subring that is not local, every generator of J is kept.
-        """
+        """Generators of J over f(A) + J (modules.select_generators), as
+        elements of B, cached."""
         if self._j_subring_generators is None:
-            j_in_c = self.j_in_subring()
             local, m_c = self.subring_local()
-            if local:
-                gens = [g for (g,) in minimal_generators(j_in_c, m_c)]
-            else:
-                gens = j_in_c.generator_elements()
-            self._j_subring_generators = [self.subring_incl(g) for g in gens]
+            gens = select_generators(self.j_in_subring(), local, m_c)
+            self._j_subring_generators = [self.subring_incl(g) for (g,) in gens]
         return self._j_subring_generators
 
-    def additive_span(self, p, vectors):
-        """Canonical basis of the plain additive span of vectors in R^p."""
-        ring = self.ring
-        builder = span_builder(ring.char, p * ring.rank)
-        for v in vectors:
-            flat = []
-            for e in v:
-                flat.extend(ring.scaled(e.coords))
-            builder.insert(flat)
-        return builder.basis()
+    def product_set_basis(self, blocks):
+        """Scaled basis of the direct sum of the sets U |><| J^p, one per
+        block (U, p) in blocks, inside R^(sum of the p).
 
-    def product_set_basis(self, kerv, p):
-        """Scaled basis of the set kerv |><| J^p inside R^p.
-
-        kerv is a Submodule of A^p; the set {(v, f^p(v) + j)} is additively
-        generated by the embedded basis rows of kerv and by every J basis
-        element placed in every slot.
+        U is a Submodule of A^p; the set {(v, f^p(v) + j)} is additively
+        generated by the embedded basis rows of U and by every J basis
+        element placed in every one of the block's slots.
         """
-        vectors = []
-        for row in kerv.rows_as_vectors():
-            vectors.append(self.embed_vector(row))
-        zero_a = self.a.zero()
-        for s in range(p):
-            for e in self.j_group_basis:
-                vec = [self.ring.zero()] * p
-                vec[s] = self.embed(zero_a, e)
-                vectors.append(tuple(vec))
-        return self.additive_span(p, vectors)
+        ring = self.ring
+        zero = (0,) * ring.rank
+        j_slots = [self.embed(self.a.zero(), e).coords
+                   for e in self.j_group_basis]
+        total = sum(p for _, p in blocks)
+        builder = span_builder(ring.char, total * ring.rank)
+        before = 0
+        for u_sub, p in blocks:
+            vectors = [[e.coords for e in self.embed_vector(row)]
+                       for row in u_sub.rows_as_vectors()]
+            vectors += [[j if t == s else zero for t in range(p)]
+                        for s in range(p) for j in j_slots]
+            after = [zero] * (total - before - p)
+            for vec in vectors:
+                builder.insert(_flat_scaled_coords(
+                    ring, [zero] * before + vec + after))
+            before += p
+        return builder.basis()
 
 
 def amalgamation(ring_a, ring_b, hom, ideal_j, budget=DEFAULT_MAX_ORDER):

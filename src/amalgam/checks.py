@@ -20,13 +20,19 @@ import time
 from .rings import DEFAULT_MAX_ORDER, BudgetExceededError
 from .modules import (CokernelSpec, TypeTable, ideal_span, ideal_sum,
                       is_projective, minimal_generators, minimal_resolution,
-                      submodule_span, syzygy)
+                      select_generators, submodule_span, syzygy)
 from . import spectrum
 from .amalgam import (AmalgamObjects, hom_power, ideal_in_subring,
                       ideal_power, image_plus_J, power_slot_element,
                       ring_power)
 
 DEFAULT_DEPTH = 6
+# power_iso past the exhaustive budget checks this many random pairs
+POWER_ISO_SAMPLES = 10000
+# pd_profile lists every ideal of a ring up to this order, and at most
+# this many ideals
+PD_EXHAUSTIVE_CAP = 256
+PD_IDEAL_BUDGET = 512
 
 
 class CheckResult:
@@ -135,7 +141,8 @@ def check_hypotheses(ring_a, ring_b, hom, ideal_j, budget=DEFAULT_MAX_ORDER,
                 break
     else:
         fmj_zero = None
-    # minimal generator count of J over the subring f(A) + J
+    # generator count of J over the subring f(A) + J: the minimal count
+    # over a local subring, otherwise only an upper bound
     count = None
     subring_local = None
     try:
@@ -143,20 +150,11 @@ def check_hypotheses(ring_a, ring_b, hom, ideal_j, budget=DEFAULT_MAX_ORDER,
             sub, incl = image_plus_J(hom, ideal_j)
             subring_local, m_c = spectrum.is_local(sub)
         else:
-            sub, incl = bundle.subring, bundle.subring_incl
+            incl = bundle.subring_incl
             subring_local, m_c = bundle.subring_local()
         j_in_c = ideal_in_subring(incl, j_rows)
-        if subring_local:
-            count = len(minimal_generators(j_in_c, m_c))
-        else:
-            # greedy irredundant size; without a local base this is only an
-            # upper bound for the generating number
-            kept = []
-            for g in j_in_c.generators:
-                span_rest = submodule_span(sub, 1, kept)
-                if not span_rest.contains_vector(g):
-                    kept.append(g)
-            count = len(kept)
+        count = len(select_generators(j_in_c, subring_local, m_c))
+        if not subring_local:
             witnesses["j_count_is_upper_bound"] = True
     except Exception as exc:  # construction-level failure becomes a witness
         witnesses["subring_error"] = str(exc)
@@ -211,7 +209,7 @@ _CLAIM_R21 = ("an amalgamation of a local base along a proper square-zero "
               "ideal is local with maximal ideal M |><| J")
 
 
-def power_iso(am, n, seed=0, budget=DEFAULT_MAX_ORDER, samples=10000):
+def power_iso(am, n, seed=0, budget=DEFAULT_MAX_ORDER):
     """Verified ring isomorphism between (A |><| J)^n and A^n |><| J^n."""
     def run():
         claim = "coordinate shuffling is a ring isomorphism onto the power amalgamation"
@@ -261,7 +259,7 @@ def power_iso(am, n, seed=0, budget=DEFAULT_MAX_ORDER, samples=10000):
             rng = random.Random(seed)
 
             def sampled():
-                for _ in range(samples):
+                for _ in range(POWER_ISO_SAMPLES):
                     x = tuple(rng.randrange(o) for o in r_n.orders)
                     y = tuple(rng.randrange(o) for o in r_n.orders)
                     yield x, phi.apply_coords(x), y, phi.apply_coords(y)
@@ -355,7 +353,7 @@ def _kernel_transfer_data(am, p, u_vectors, k_vectors):
             return "skipped", "transfer precondition fails even after pruning", None
     w_gens = [am.embed_vector(u, kv) for u, kv in zip(u_vectors, k_vectors)]
     keru = syzygy(am.ring, w_gens)
-    predicted = am.product_set_basis(kerv, len(u_vectors))
+    predicted = am.product_set_basis([(kerv, len(u_vectors))])
     data = {
         "indices": idx,
         "pruned": pruned,
@@ -559,35 +557,9 @@ def _block_generators(am, blocks):
         s_b = len(u_mingens)
         t_b = p * len(j_mingens)
         next_blocks.append((syzygy(am.a, u_mingens), s_b))
-        next_blocks.extend([(_m_as_submodule(am), 1)] * t_b)
+        next_blocks.extend([(am.a_max, 1)] * t_b)
         offset += p
     return gens, next_blocks
-
-
-def _m_as_submodule(am):
-    return submodule_span(am.a, 1, [(x,) for x in am.a_max.element_rows()])
-
-
-def _predicted_block_basis(am, blocks):
-    """Scaled basis of the direct sum of U_b |><| J^{p_b} blocks."""
-    ring = am.ring
-    total_rank = sum(p for (_, p) in blocks)
-    vectors = []
-    offset = 0
-    for u_sub, p in blocks:
-        for row in u_sub.rows_as_vectors():
-            vec = [ring.zero()] * total_rank
-            emb = am.embed_vector(row)
-            for s in range(p):
-                vec[offset + s] = emb[s]
-            vectors.append(tuple(vec))
-        for s in range(p):
-            for e in am.j_group_basis:
-                vec = [ring.zero()] * total_rank
-                vec[offset + s] = am.embed(am.a.zero(), e)
-                vectors.append(tuple(vec))
-        offset += p
-    return am.additive_span(total_rank, vectors)
 
 
 def verify_thm_3_4_bookkeeping(am, m_elem, depth=DEFAULT_DEPTH, levels=3):
@@ -615,13 +587,13 @@ def verify_thm_3_4_bookkeeping(am, m_elem, depth=DEFAULT_DEPTH, levels=3):
             "m_is_zero": m_elem.is_zero(),
         }
         # the cascade: start from M |><| J and walk predicted syzygy shapes
-        blocks = [(_m_as_submodule(am), 1)]
+        blocks = [(am.a_max, 1)]
         cascade_ok = True
         cascade_log = []
         for level in range(levels):
             gens, next_blocks = _block_generators(am, blocks)
             actual = syzygy(am.ring, gens)
-            predicted = _predicted_block_basis(am, next_blocks)
+            predicted = am.product_set_basis(next_blocks)
             match = actual.basis == predicted
             cascade_log.append({
                 "level": level,
@@ -641,8 +613,7 @@ def verify_thm_3_4_bookkeeping(am, m_elem, depth=DEFAULT_DEPTH, levels=3):
     return _timed(run)
 
 
-def pd_profile(ring, depth=8, ideal_budget=512, budget=DEFAULT_MAX_ORDER,
-               exhaustive_cap=256):
+def pd_profile(ring, depth=8, budget=DEFAULT_MAX_ORDER):
     """Projective-dimension survey of cyclic quotients R/I."""
     def run():
         claim = ("tabulated projective-dimension verdicts of quotients by "
@@ -653,7 +624,7 @@ def pd_profile(ring, depth=8, ideal_budget=512, budget=DEFAULT_MAX_ORDER,
                                reason="ring is not local")
         order = ring.order()
         ideals = {}
-        if order <= exhaustive_cap:
+        if order <= PD_EXHAUSTIVE_CAP:
             for x in ring.elements(budget):
                 ideal = ideal_span(ring, [x])
                 ideals.setdefault(ideal.basis, ideal)
@@ -665,7 +636,7 @@ def pd_profile(ring, depth=8, ideal_budget=512, budget=DEFAULT_MAX_ORDER,
                     for i2 in current:
                         joined = ideal_sum(i1, i2)
                         if joined.basis not in ideals:
-                            if len(ideals) >= ideal_budget:
+                            if len(ideals) >= PD_IDEAL_BUDGET:
                                 return CheckResult(
                                     "pd_profile", claim, "skipped",
                                     reason="ideal lattice exceeds the budget")
@@ -678,7 +649,7 @@ def pd_profile(ring, depth=8, ideal_budget=512, budget=DEFAULT_MAX_ORDER,
             for x in ring.elements(budget):
                 ideal = ideal_span(ring, [x])
                 ideals.setdefault(ideal.basis, ideal)
-                if len(ideals) >= ideal_budget:
+                if len(ideals) >= PD_IDEAL_BUDGET:
                     break
             mode = "principal_only"
         else:

@@ -25,54 +25,40 @@ from .report import Report, input_digest
 from .rings import (BudgetExceededError, FiniteRing, ModuleSpec, RingHom,
                     product, trivial_extension, trunc_poly, verify_ring, zmod)
 
-_CTOR_ARITY = {
-    "zmod": (1, 1), "trunc_poly": (2, 2), "product": (2, 2),
-    "quotient": (2, 2), "trivial_ext": (2, 2), "subring_image_plus": (2, 2),
-    "amalgamation": (4, 4), "duplication": (2, 2), "table": (4, 4),
-    "ideal": (2, 2), "hom": (3, 3), "module": (2, None), "submod": (3, 3),
-}
-
-_JOB_ARITY = {
-    "hypotheses": (1, 1), "remark21": (1, 1), "kernel_transfer": (3, 4),
-    "lemma24": (4, 5), "power_iso": (2, 2), "idempotent": (1, 1),
-    "betti": (1, 2), "thm31": (2, 3), "thm34": (2, 3), "gldim": (1, 2),
-    "pd_profile": (1, 2), "ringcheck": (1, 1),
-}
-
 
 class BuildError(ValueError):
     """Construction-level failure; becomes a failed record, not a crash."""
 
 
 def check_arity(spec):
+    """Check every job, and every constructor call in a declaration,
+    against the argument counts in dsl.JOBS and dsl.CONSTRUCTORS; the
+    first mismatch raises."""
     for stmt in spec.statements:
-        if isinstance(stmt, dsl.Decl):
-            _check_call_arity(stmt.expr)
-        else:
-            lo, hi = _JOB_ARITY[stmt.name]
-            n = len(stmt.args)
-            if n < lo or (hi is not None and n > hi):
-                raise dsl.DslSemanticError(
-                    f"job {stmt.name!r} takes {lo}"
-                    + (f"..{hi}" if hi != lo else "")
-                    + f" arguments, got {n}", stmt.line)
+        _check_arity(stmt.expr if isinstance(stmt, dsl.Decl) else stmt)
 
 
-def _check_call_arity(expr):
-    if isinstance(expr, dsl.Call):
-        lo, hi = _CTOR_ARITY[expr.name]
-        n = len(expr.args)
-        if n < lo or (hi is not None and n > hi):
-            raise dsl.DslSemanticError(
-                f"{expr.name!r} takes {lo}"
-                + (f"..{hi}" if hi is not None and hi != lo else
-                   ("+" if hi is None else ""))
-                + f" arguments, got {n}", expr.line, expr.col)
-        for a in expr.args:
-            _check_call_arity(a)
-    elif isinstance(expr, dsl.ListExpr):
-        for a in expr.items:
-            _check_call_arity(a)
+def _check_arity(node):
+    if isinstance(node, dsl.ListExpr):
+        for a in node.items:
+            _check_arity(a)
+        return
+    job = isinstance(node, dsl.Job)
+    if not (job or isinstance(node, dsl.Call)):
+        return
+    lo, hi = (dsl.JOBS if job else dsl.CONSTRUCTORS)[node.name]
+    n = len(node.args)
+    if n < lo or (hi is not None and n > hi):
+        bound = "+" if hi is None else ("" if hi == lo else f"..{hi}")
+        where = (node.line,) if job else (node.line, node.col)
+        raise dsl.DslSemanticError(
+            f"{'job ' if job else ''}{node.name!r} takes {lo}{bound} "
+            f"arguments, got {n}", *where)
+    # a job's arguments are not walked: the parser leaves the constructor
+    # names in them unchecked too
+    if not job:
+        for a in node.args:
+            _check_arity(a)
 
 
 # -- evaluation -----------------------------------------------------------------

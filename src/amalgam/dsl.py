@@ -14,13 +14,21 @@ pretty-prints the canonical form, so parse -> serialize -> parse is the
 identity on ASTs.
 """
 
-RING_CONSTRUCTORS = ("zmod", "trunc_poly", "product", "quotient",
-                     "trivial_ext", "subring_image_plus", "amalgamation",
-                     "duplication", "table")
-OTHER_CONSTRUCTORS = ("ideal", "hom", "module", "submod")
-JOB_NAMES = ("hypotheses", "remark21", "kernel_transfer", "lemma24",
-             "power_iso", "idempotent", "betti", "thm31", "thm34",
-             "gldim", "pd_profile", "ringcheck")
+# The vocabulary: name -> (least, most) argument count, most None for no
+# upper bound.  The parser rejects a name missing here; the CLI checks the
+# counts once the whole file has parsed.
+CONSTRUCTORS = {
+    "zmod": (1, 1), "trunc_poly": (2, 2), "product": (2, 2),
+    "quotient": (2, 2), "trivial_ext": (2, 2), "subring_image_plus": (2, 2),
+    "amalgamation": (4, 4), "duplication": (2, 2), "table": (4, 4),
+    "ideal": (2, 2), "hom": (3, 3), "module": (2, None), "submod": (3, 3),
+}
+JOBS = {
+    "hypotheses": (1, 1), "remark21": (1, 1), "kernel_transfer": (3, 4),
+    "lemma24": (4, 5), "power_iso": (2, 2), "idempotent": (1, 1),
+    "betti": (1, 2), "thm31": (2, 3), "thm34": (2, 3), "gldim": (1, 2),
+    "pd_profile": (1, 2), "ringcheck": (1, 1),
+}
 
 
 class DslSyntaxError(ValueError):
@@ -311,7 +319,7 @@ def parse(text):
             name_tok = p.next(expect_kind="name")
             job_call = p.parse_call_tail(name_tok[1], name_tok[2], name_tok[3])
             p.expect_end()
-            if job_call.name not in JOB_NAMES:
+            if job_call.name not in JOBS:
                 raise DslSemanticError(
                     f"unknown job {job_call.name!r}", name_tok[2], name_tok[3])
             _check_refs(job_call.args, known)
@@ -337,7 +345,7 @@ def parse(text):
 
 def _check_constructors(expr):
     if isinstance(expr, Call):
-        if expr.name not in RING_CONSTRUCTORS + OTHER_CONSTRUCTORS:
+        if expr.name not in CONSTRUCTORS:
             raise DslSemanticError(
                 f"unknown constructor {expr.name!r}", expr.line, expr.col)
         for a in expr.args:

@@ -313,6 +313,16 @@ def minimal_generators(sub, max_ideal, gens=None, den=None):
     return chosen
 
 
+def select_generators(sub, local, max_ideal):
+    """A generating subset of sub.generators, in their order.
+
+    Over a local ring it is the Nakayama selection, of minimal size.
+    Otherwise it is the same greedy scan with M = 0, an irredundant subset
+    whose size only bounds the generating number from above.
+    """
+    return minimal_generators(sub, max_ideal if local else zero_ideal(sub.ring))
+
+
 # -- resolutions ---------------------------------------------------------------
 
 class CokernelSpec:

@@ -172,6 +172,21 @@ class FiniteRing:
                 and self.tensor == other.tensor and self.unit == other.unit)
 
 
+def derived_ring(ring, orders, lifts, read, prefix, name):
+    """A quotient or subring of `ring`, by transport of structure.
+
+    Basis element i of the new ring (of order orders[i]) is represented by
+    the coordinate tuple lifts[i] of `ring`, and read maps a coordinate
+    tuple of `ring` to coordinates in the new basis.  The tensor holds
+    read(lifts[i] * lifts[j]) and the unit is read(1).
+    """
+    tensor = [tuple(read(ring.mul_coords(x, y)) for y in lifts)
+              for x in lifts]
+    return FiniteRing(lcm(*orders), tuple(orders), tensor, read(ring.unit),
+                      labels=tuple(f"{prefix}{i}" for i in range(len(orders))),
+                      name=name)
+
+
 class RingElement:
     """Element of a FiniteRing: a reduced coordinate tuple plus its ring."""
 
@@ -213,16 +228,21 @@ class RingElement:
     __rmul__ = __mul__
 
     def __pow__(self, n):
+        """Square-and-multiply: floor(log2 n) squarings plus one product
+        per further set bit of n."""
         if n < 0:
             raise ValueError("negative powers are not defined")
-        result = self.ring.one()
+        if n == 0:
+            return self.ring.one()
+        result = None
         base = self
-        while n:
+        while True:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if not n:
+                return result
+            base = base * base
 
     def is_zero(self):
         return not any(self.coords)

@@ -20,11 +20,9 @@ maximal ideals of a ring that is not local) refuse to run past a
 configurable budget instead of silently grinding.
 """
 
-from math import lcm
-
 from .znlinalg import ZnMatrix, howell_from_rows, kernel, span_builder
-from .rings import (DEFAULT_MAX_ORDER, BudgetExceededError, FiniteRing,
-                    RingConstructionError, RingHom)
+from .rings import (DEFAULT_MAX_ORDER, BudgetExceededError,
+                    RingConstructionError, RingHom, derived_ring)
 from .abgroups import quotient_decomposition
 from .modules import Ideal, NotLocalError, ideal_span, syzygy
 
@@ -60,20 +58,9 @@ def quotient_ring(r, ideal):
         raise RingConstructionError("quotient by the unit ideal is the zero ring")
     lifts = [r.element(tuple(c % o for c, o in zip(row, r.orders)))
              for row in lift_rows]
-    d = len(new_orders)
-    tensor = []
-    for i in range(d):
-        row = []
-        for j in range(d):
-            prod_elem = lifts[i] * lifts[j]
-            row.append(project(list(prod_elem.coords)))
-        tensor.append(tuple(row))
-    unit = project(list(r.unit))
-    char = lcm(*new_orders)
-    quo = FiniteRing(char, new_orders, tensor, unit,
-                     labels=tuple(f"q{i}" for i in range(d)),
-                     name=f"{r.name}/I")
-    hom_rows = [project(list(r.basis_element(i).coords)) for i in range(r.rank)]
+    quo = derived_ring(r, new_orders, [x.coords for x in lifts], project,
+                       "q", f"{r.name}/I")
+    hom_rows = [project(r.basis_element(i).coords) for i in range(r.rank)]
     pi = RingHom(r, quo, hom_rows, section=tuple(lifts))
     return quo, pi
 

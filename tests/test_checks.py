@@ -108,7 +108,7 @@ def test_power_iso_n1_and_n2():
 
 def test_power_iso_n3_sampled():
     dup = INSTANCES["dup_z4"]
-    r3 = power_iso(dup, 3, seed=7, budget=65536, samples=2000)
+    r3 = power_iso(dup, 3, seed=7, budget=65536)
     assert r3.passed
     assert r3.witnesses["mode"] == "sampled"
     assert r3.witnesses["seed"] == 7
@@ -147,7 +147,7 @@ def test_kernel_transfer_prunes_non_minimal_instance():
     # raw engine computation shows the mismatch
     kerv = syzygy(a, u)
     keru = syzygy(dup.ring, [dup.embed_vector(uv, kv) for uv, kv in zip(u, k)])
-    predicted_raw = dup.product_set_basis(kerv, 2)
+    predicted_raw = dup.product_set_basis([(kerv, 2)])
     assert keru.basis != predicted_raw
     # the check prunes to an A-minimal u-part and then passes
     result = verify_kernel_transfer(dup, 1, u, k)
@@ -348,6 +348,35 @@ def test_non_local_duplication():
     nontrivial = [e for e in idempotents(obj.ring)
                   if not e.is_zero() and e != obj.ring.one()]
     assert nontrivial
+
+
+def test_hypotheses_over_a_non_local_subring_count_greedily():
+    # f(A) + J = Z/2 x Z/4 is not local, so the generator count of J is the
+    # size of a greedy irredundant subset, flagged as an upper bound
+    from amalgam.amalgam import duplication
+    from amalgam.rings import product
+    a = product(zmod(2), zmod(4))
+    am = duplication(a, ideal_span(a, [a.element((0, 2))]))
+    report, result = hypotheses_of(am)
+    assert not report.subring_local
+    assert report.j_min_generator_count == 1
+    assert result.witnesses["j_min_generator_count"] == 1
+    assert result.witnesses["detail"]["j_count_is_upper_bound"] is True
+    assert [g.coords for g in am.j_subring_generators()] == [(0, 2)]
+
+
+def test_select_generators_is_nakayama_when_local_and_greedy_otherwise():
+    from amalgam.modules import minimal_generators, select_generators
+    from amalgam.rings import product
+    a = product(zmod(2), zmod(4))
+    # (1, 0) and (0, 2) lie in the ideal (1, 2) generates
+    ideal = ideal_span(a, [a.element((1, 2)), a.element((1, 0)),
+                           a.element((0, 2))])
+    assert [g[0].coords for g in select_generators(ideal, False, None)] == [(1, 2)]
+    for name, am in INSTANCES.items():
+        mj = am.mj
+        local, mx = am.ring_local()
+        assert select_generators(mj, local, mx) == minimal_generators(mj, mx), name
 
 
 def test_residue_field_of_duplication():

@@ -188,6 +188,34 @@ def test_negative_depth_is_an_input_error(capsys, tmp_path, text, args):
     assert "input error" in out.err and "depth" in out.err
 
 
+_DUP = "A = zmod(4)\nI = ideal(A, [[2]])\nD = duplication(A, I)\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("A = mystery(4)\n", "line 1, col 5: unknown constructor 'mystery'"),
+    ("A = zmod(4)\njob dance(A)\n", "line 2, col 5: unknown job 'dance'"),
+    ("A = zmod(4, 5)\n", "line 1, col 5: 'zmod' takes 1 arguments, got 2"),
+    ("R = zmod(4)\nM = module(R)\n",
+     "line 2, col 5: 'module' takes 2+ arguments, got 1"),
+    (_DUP + "job betti(D, 1, 2)\n",
+     "line 4, col 1: job 'betti' takes 1..2 arguments, got 3"),
+    (_DUP + "job hypotheses(D, D)\n",
+     "line 4, col 1: job 'hypotheses' takes 1 arguments, got 2"),
+    # arity is checked after the whole file parses, so a later unknown
+    # name wins over an earlier arity error
+    ("A = zmod(4, 5)\nB = mystery(1)\n",
+     "line 2, col 5: unknown constructor 'mystery'"),
+], ids=["constructor", "job", "zmod-arity", "module-arity", "betti-arity",
+        "hypotheses-arity", "parse-before-arity"])
+def test_input_error_messages_and_positions(capsys, tmp_path, text, message):
+    path = tmp_path / "bad.ring"
+    path.write_text(text)
+    assert run_cli(["check", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"input error: {message}\n"
+
+
 def test_resolve_of_a_ring_is_an_input_error(capsys, tmp_path):
     path = tmp_path / "ring_only.ring"
     path.write_text("A = zmod(4)\n")

@@ -371,3 +371,34 @@ def test_compiled_arithmetic_matches_dense_reference(label, data):
     slots = data.draw(st.lists(coords, min_size=1, max_size=3))
     vec = tuple(ring.element(c) for c in slots)
     assert basis_action_rows(ring, vec) == dense_action_rows(ring, slots)
+
+
+def _count_products(monkeypatch):
+    calls = []
+    real = FiniteRing.mul_coords
+
+    def counting(self, x, y):
+        calls.append(1)
+        return real(self, x, y)
+
+    monkeypatch.setattr(FiniteRing, "mul_coords", counting)
+    return calls
+
+
+@pytest.mark.parametrize("n, products", [(0, 0), (1, 0), (2, 1), (3, 2),
+                                         (4, 2), (5, 3), (8, 3)])
+def test_power_is_square_and_multiply(monkeypatch, n, products):
+    b = trunc_poly(2, 4).basis_element(1)
+    calls = _count_products(monkeypatch)
+    b ** n
+    assert len(calls) == products
+
+
+@pytest.mark.parametrize("ring", [zmod(9), trunc_poly(2, 4), _galois_ring()],
+                         ids=lambda r: r.name)
+def test_power_matches_repeated_multiplication(ring):
+    for x in ring.elements():
+        expected = ring.one()
+        for n in range(13):
+            assert x ** n == expected, (x, n)
+            expected = expected * x
