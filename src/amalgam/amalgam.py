@@ -151,7 +151,6 @@ class AmalgamObjects:
         self.a_local, self.a_max = spectrum.is_local(ring_a)
         self.mj = self.mj_of(self.a_max) if self.a_local else None
         self.subring, self.subring_incl = image_plus_J(hom, ideal_j)
-        self._j_in_subring = None
         self._j_subring_generators = None
         self._ring_local = None
         self._subring_local = None
@@ -216,19 +215,13 @@ class AmalgamObjects:
         assert out.size() == ideal_a.size() * self.j.size()
         return out
 
-    def j_in_subring(self):
-        """J as an ideal of the subring f(A) + J."""
-        if self._j_in_subring is None:
-            self._j_in_subring = ideal_in_subring(self.subring_incl,
-                                                  self.j_group_basis)
-        return self._j_in_subring
-
     def j_subring_generators(self):
         """Generators of J over f(A) + J (modules.select_generators), as
         elements of B, cached."""
         if self._j_subring_generators is None:
             local, m_c = self.subring_local()
-            gens = select_generators(self.j_in_subring(), local, m_c)
+            j_in_c = ideal_in_subring(self.subring_incl, self.j_group_basis)
+            gens = select_generators(j_in_c, local, m_c)
             self._j_subring_generators = [self.subring_incl(g) for (g,) in gens]
         return self._j_subring_generators
 

@@ -3,7 +3,8 @@
 Each check evaluates one structural claim about A |><|^f J on a concrete
 finite instance and returns a CheckResult carrying pass/fail/skipped plus
 witnesses.  Checks never raise on mathematical failure; they raise only on
-malformed inputs.
+malformed inputs.  A check holds only under its job's precondition (JOBS,
+PRECONDITIONS), which cli.run_job applies; a direct call assumes it.
 
 The kernel-transfer checks assume the generating tuple is compatible with
 the transfer identity: the identity Keru = Kerv |><| J^r requires that the
@@ -15,9 +16,8 @@ recorded in the result.
 """
 
 import random
-import time
 
-from .rings import DEFAULT_MAX_ORDER, BudgetExceededError
+from .rings import DEFAULT_MAX_ORDER, verify_ring
 from .modules import (CokernelSpec, TypeTable, ideal_span, ideal_sum,
                       is_projective, minimal_generators, minimal_resolution,
                       select_generators, submodule_span, syzygy)
@@ -33,6 +33,36 @@ POWER_ISO_SAMPLES = 10000
 # this many ideals
 PD_EXHAUSTIVE_CAP = 256
 PD_IDEAL_BUDGET = 512
+
+# the claim each job's record states
+CLAIMS = {
+    "hypotheses": "the base is local and J is proper with J^2 = 0 and f(M)J = 0",
+    "remark21": ("an amalgamation of a local base along a proper square-zero "
+                 "ideal is local with maximal ideal M |><| J"),
+    "power_iso": ("coordinate shuffling is a ring isomorphism onto the power "
+                  "amalgamation"),
+    "kernel_transfer": ("the syzygies of (u_i, f(u_i)+k_i) over the "
+                        "amalgamation are exactly Kerv |><| J^r for Kerv the "
+                        "base syzygies of (u_i)"),
+    "lemma24": ("the first syzygy of W transfers to the base and the Betti "
+                "tables of W and U are recorded"),
+    "idempotent": ("the maximal ideal of the amalgamation is not generated by "
+                   "an idempotent"),
+    "betti": ("the maximal ideal and {0} x J have strictly positive Betti "
+              "numbers to the cut-off, the finite-scale signature of infinite "
+              "projective dimension"),
+    "thm31": ("the annihilator of (0,k) is M |><| J, I = R(0,k) is "
+              "self-annihilating and not projective, and R/I resists finite "
+              "resolution to the cut-off"),
+    "thm34": ("the syzygies of (m, f(m)) contain {0} x J, and the kernel "
+              "cascade of the depth-3 argument matches the predicted product "
+              "shapes"),
+    "pd_profile": ("tabulated projective-dimension verdicts of quotients by "
+                   "ideals; the honest finite-scale proxy for uniform bounds"),
+    "gldim": ("the residue field's resolution terminates exactly for fields "
+              "and resists to the cut-off otherwise"),
+    "ringcheck": "structure constants satisfy the ring axioms",
+}
 
 
 class CheckResult:
@@ -67,12 +97,15 @@ class CheckResult:
         return f"CheckResult({self.name}: {self.status})"
 
 
-def _timed(fn):
-    """Run fn() and attach wall time to the produced CheckResult."""
-    start = time.perf_counter()
-    result = fn()
-    result.wall_ms = int((time.perf_counter() - start) * 1000)
-    return result
+def record(name, ok, fail_reason, witnesses=None):
+    """The pass or fail record of job name."""
+    return CheckResult(name, CLAIMS[name], "pass" if ok else "fail",
+                       reason=None if ok else fail_reason, witnesses=witnesses)
+
+
+def skipped(name, reason):
+    """The skipped record of job name."""
+    return CheckResult(name, CLAIMS[name], "skipped", reason=reason)
 
 
 def _coords_list(elem):
@@ -101,8 +134,9 @@ def check_hypotheses(ring_a, ring_b, hom, ideal_j, budget=DEFAULT_MAX_ORDER,
                      bundle=None):
     """Evaluate the hypothesis set on raw pieces; never raises on failure.
 
-    bundle is the AmalgamObjects built from these pieces, if any: f(A) + J
-    and its locality then come from the bundle instead of being rebuilt.
+    bundle is the AmalgamObjects built from these pieces, if any: f(A) + J,
+    its locality and J's generators over it then come from the bundle
+    instead of being rebuilt.
     """
     witnesses = {}
     a_local, m_a = spectrum.is_local(ring_a)
@@ -149,11 +183,11 @@ def check_hypotheses(ring_a, ring_b, hom, ideal_j, budget=DEFAULT_MAX_ORDER,
         if bundle is None:
             sub, incl = image_plus_J(hom, ideal_j)
             subring_local, m_c = spectrum.is_local(sub)
+            count = len(select_generators(ideal_in_subring(incl, j_rows),
+                                          subring_local, m_c))
         else:
-            incl = bundle.subring_incl
-            subring_local, m_c = bundle.subring_local()
-        j_in_c = ideal_in_subring(incl, j_rows)
-        count = len(select_generators(j_in_c, subring_local, m_c))
+            subring_local, _ = bundle.subring_local()
+            count = len(bundle.j_subring_generators())
         if not subring_local:
             witnesses["j_count_is_upper_bound"] = True
     except Exception as exc:  # construction-level failure becomes a witness
@@ -162,13 +196,8 @@ def check_hypotheses(ring_a, ring_b, hom, ideal_j, budget=DEFAULT_MAX_ORDER,
         a_local=a_local, j_proper=j_proper, j_square_zero=j_square_zero,
         fmj_zero=fmj_zero, j_min_generator_count=count,
         subring_local=subring_local, witnesses=witnesses)
-    status = "pass" if report.core_ok() else "fail"
-    result = CheckResult(
-        "hypotheses",
-        "the base is local and J is proper with J^2 = 0 and f(M)J = 0",
-        status,
-        reason=None if report.core_ok() else "hypothesis set violated",
-        witnesses={**report.to_dict(), **{"detail": witnesses}})
+    result = record("hypotheses", report.core_ok(), "hypothesis set violated",
+                    {**report.to_dict(), **{"detail": witnesses}})
     return report, result
 
 
@@ -180,106 +209,107 @@ def hypotheses_of(am):
     return am._hypotheses
 
 
+def _local_base_square_zero_j(am):
+    report, _ = hypotheses_of(am)
+    return report.a_local and report.j_proper and report.j_square_zero
+
+
+# A job's precondition: a test on the job's first argument, and the reason
+# its record is skipped when the test fails.
+PRECONDITIONS = {
+    "local": (lambda ring: spectrum.is_local(ring)[0], "ring is not local"),
+    "hypotheses": (lambda am: hypotheses_of(am)[0].core_ok(),
+                   "hypothesis set not met"),
+    "hypotheses_and_j": (
+        lambda am: hypotheses_of(am)[0].core_ok() and am.j.size() > 1,
+        "requires the hypothesis set and J != 0"),
+    "local_base_square_zero_j": (
+        _local_base_square_zero_j,
+        "hypotheses (local base, proper J, J^2=0) not met"),
+}
+
+
 def verify_remark_2_1(am):
     """Locality of the amalgamation and identification of its maximal ideal."""
-    def run():
-        report, _ = hypotheses_of(am)
-        if not (report.a_local and report.j_proper and report.j_square_zero):
-            return CheckResult("remark21", _CLAIM_R21, "skipped",
-                               reason="hypotheses (local base, proper J, J^2=0) not met")
-        mx = spectrum.maximal_ideals(am.ring, am.budget)
-        nil_b = spectrum.nilradical(am.b)
-        j_in_radical = all(nil_b.contains_element(x)
-                           for x in am.j.element_rows())
-        ok = (len(mx) == 1 and mx[0].basis == am.mj.basis and j_in_radical)
-        witnesses = {
-            "maximal_ideal_count": len(mx),
-            "maximal_ideal_sizes": [m.size() for m in mx],
-            "expected_mj_size": am.mj.size(),
-            "j_inside_radical_of_b": j_in_radical,
-        }
-        return CheckResult("remark21", _CLAIM_R21,
-                           "pass" if ok else "fail",
-                           reason=None if ok else "maximal ideal mismatch",
-                           witnesses=witnesses)
-    return _timed(run)
-
-
-_CLAIM_R21 = ("an amalgamation of a local base along a proper square-zero "
-              "ideal is local with maximal ideal M |><| J")
+    mx = spectrum.maximal_ideals(am.ring, am.budget)
+    nil_b = spectrum.nilradical(am.b)
+    j_in_radical = all(nil_b.contains_element(x)
+                       for x in am.j.element_rows())
+    ok = (len(mx) == 1 and mx[0].basis == am.mj.basis and j_in_radical)
+    witnesses = {
+        "maximal_ideal_count": len(mx),
+        "maximal_ideal_sizes": [m.size() for m in mx],
+        "expected_mj_size": am.mj.size(),
+        "j_inside_radical_of_b": j_in_radical,
+    }
+    return record("remark21", ok, "maximal ideal mismatch", witnesses)
 
 
 def power_iso(am, n, seed=0, budget=DEFAULT_MAX_ORDER):
     """Verified ring isomorphism between (A |><| J)^n and A^n |><| J^n."""
-    def run():
-        claim = "coordinate shuffling is a ring isomorphism onto the power amalgamation"
-        if n < 1:
-            return CheckResult("power_iso", claim, "skipped", reason="n must be >= 1")
-        r = am.ring
-        r_n = ring_power(r, n) if n > 1 else r
-        a_n = ring_power(am.a, n) if n > 1 else am.a
-        b_n = ring_power(am.b, n) if n > 1 else am.b
-        f_n = hom_power(am.f, n, a_n, b_n) if n > 1 else am.f
-        j_n = ideal_power(am.j, n, b_n) if n > 1 else am.j
-        target = AmalgamObjects(a_n, b_n, f_n, j_n, budget=am.budget)
-        s = target.ring
-        da, k = am.a.rank, len(am.j_orders)
-        rows = []
-        for slot in range(n):
-            for i in range(da):
-                a_slot = power_slot_element(a_n, am.a, n, slot,
-                                            am.a.basis_element(i))
-                rows.append(target.embed(a_slot, b_n.zero()).coords)
-            for l in range(k):
-                j_slot = power_slot_element(b_n, am.b, n, slot,
-                                            am.j_group_basis[l])
-                rows.append(target.embed(a_n.zero(), j_slot).coords)
-        from .rings import RingHom, HomomorphismError
-        try:
-            phi = RingHom(r_n, s, rows)
-        except HomomorphismError as exc:
-            return CheckResult("power_iso", claim, "fail", reason=str(exc))
-        # bijective: orders agree and the additive image has full size
-        from .znlinalg import span_builder
-        image = span_builder(s.char, s.rank)
-        for i in range(r_n.rank):
-            image.insert(list(s.scaled(phi.apply_coords(
-                r_n.basis_element(i).coords))))
-        bijective = (r_n.order() == s.order() == image.basis().span_size())
-        total = r_n.order()
-        exhaustive = total * total <= budget
-        # phi(x*y) == phi(x)*phi(y) on coordinate tuples, pair by pair; in
-        # exhaustive mode R^n is enumerated and mapped by phi once
-        if exhaustive:
-            xs = [e.coords for e in r_n.elements(budget)]
-            images = [phi.apply_coords(x) for x in xs]
-            pairs = ((x, px, y, py) for x, px in zip(xs, images)
-                     for y, py in zip(xs, images))
-        else:
-            rng = random.Random(seed)
+    r = am.ring
+    r_n = ring_power(r, n) if n > 1 else r
+    a_n = ring_power(am.a, n) if n > 1 else am.a
+    b_n = ring_power(am.b, n) if n > 1 else am.b
+    f_n = hom_power(am.f, n, a_n, b_n) if n > 1 else am.f
+    j_n = ideal_power(am.j, n, b_n) if n > 1 else am.j
+    target = AmalgamObjects(a_n, b_n, f_n, j_n, budget=am.budget)
+    s = target.ring
+    da, k = am.a.rank, len(am.j_orders)
+    rows = []
+    for slot in range(n):
+        for i in range(da):
+            a_slot = power_slot_element(a_n, am.a, n, slot,
+                                        am.a.basis_element(i))
+            rows.append(target.embed(a_slot, b_n.zero()).coords)
+        for l in range(k):
+            j_slot = power_slot_element(b_n, am.b, n, slot,
+                                        am.j_group_basis[l])
+            rows.append(target.embed(a_n.zero(), j_slot).coords)
+    from .rings import RingHom, HomomorphismError
+    try:
+        phi = RingHom(r_n, s, rows)
+    except HomomorphismError as exc:
+        return record("power_iso", False, str(exc))
+    # bijective: orders agree and the additive image has full size
+    from .znlinalg import span_builder
+    image = span_builder(s.char, s.rank)
+    for i in range(r_n.rank):
+        image.insert(list(s.scaled(phi.apply_coords(
+            r_n.basis_element(i).coords))))
+    bijective = (r_n.order() == s.order() == image.basis().span_size())
+    total = r_n.order()
+    exhaustive = total * total <= budget
+    # phi(x*y) == phi(x)*phi(y) on coordinate tuples, pair by pair; in
+    # exhaustive mode R^n is enumerated and mapped by phi once
+    if exhaustive:
+        xs = [e.coords for e in r_n.elements(budget)]
+        images = [phi.apply_coords(x) for x in xs]
+        pairs = ((x, px, y, py) for x, px in zip(xs, images)
+                 for y, py in zip(xs, images))
+    else:
+        rng = random.Random(seed)
 
-            def sampled():
-                for _ in range(POWER_ISO_SAMPLES):
-                    x = tuple(rng.randrange(o) for o in r_n.orders)
-                    y = tuple(rng.randrange(o) for o in r_n.orders)
-                    yield x, phi.apply_coords(x), y, phi.apply_coords(y)
-            pairs = sampled()
-        pairs_checked = 0
-        multiplicative = True
-        for x, px, y, py in pairs:
-            if phi.apply_coords(r_n.mul_coords(x, y)) != s.mul_coords(px, py):
-                multiplicative = False
-                break
-            pairs_checked += 1
-        ok = bijective and multiplicative
-        return CheckResult(
-            "power_iso", claim, "pass" if ok else "fail",
-            reason=None if ok else "isomorphism verification failed",
-            witnesses={"n": n, "order": total, "bijective": bijective,
-                       "pairs_checked": pairs_checked,
-                       "mode": "exhaustive" if exhaustive else "sampled",
-                       "seed": None if exhaustive else seed})
-    return _timed(run)
+        def sampled():
+            for _ in range(POWER_ISO_SAMPLES):
+                x = tuple(rng.randrange(o) for o in r_n.orders)
+                y = tuple(rng.randrange(o) for o in r_n.orders)
+                yield x, phi.apply_coords(x), y, phi.apply_coords(y)
+        pairs = sampled()
+    pairs_checked = 0
+    multiplicative = True
+    for x, px, y, py in pairs:
+        if phi.apply_coords(r_n.mul_coords(x, y)) != s.mul_coords(px, py):
+            multiplicative = False
+            break
+        pairs_checked += 1
+    return record(
+        "power_iso", bijective and multiplicative,
+        "isomorphism verification failed",
+        {"n": n, "order": total, "bijective": bijective,
+         "pairs_checked": pairs_checked,
+         "mode": "exhaustive" if exhaustive else "sampled",
+         "seed": None if exhaustive else seed})
 
 
 # -- kernel transfer ----------------------------------------------------------
@@ -316,19 +346,14 @@ _DEGENERATE = "instance degenerates after minimality pruning"
 _MAX_DRAWS = 16
 
 
-def _kernel_transfer_data(am, p, u_vectors, k_vectors):
-    """Shared computation for the kernel-transfer checks.
+def _kernel_transfer_data(am, u_vectors, k_vectors):
+    """Shared computation for the kernel-transfer checks, on equally many
+    (at least one) u vectors over A and k vectors over B of one rank.
 
     Returns (status, reason, data) where data holds kerv, keru, the
     predicted product basis and the surviving indices.
     """
     a = am.a
-    if not am.a_local:
-        return "skipped", "base ring is not local", None
-    if len(u_vectors) != len(k_vectors) or not u_vectors:
-        return "skipped", "need equally many u and k vectors", None
-    if any(len(u) != p for u in u_vectors) or any(len(k) != p for k in k_vectors):
-        return "skipped", f"vectors must live in rank {p}", None
     for u in u_vectors:
         for x in u:
             if not am.a_max.contains_element(x):
@@ -367,162 +392,119 @@ def _kernel_transfer_data(am, p, u_vectors, k_vectors):
     return "ok", None, data
 
 
-_CLAIM_KT = ("the syzygies of (u_i, f(u_i)+k_i) over the amalgamation are "
-             "exactly Kerv |><| J^r for Kerv the base syzygies of (u_i)")
-
-
 def verify_kernel_transfer(am, p, u_vectors, k_vectors):
     """Kernel transfer identity for a given generating tuple."""
-    def run():
-        status, reason, data = _kernel_transfer_data(am, p, u_vectors, k_vectors)
-        if status != "ok":
-            return CheckResult("kernel_transfer", _CLAIM_KT, "skipped", reason=reason)
-        ok = data["keru"].basis == data["predicted"]
-        witnesses = {
-            "kerv_size": data["kerv"].size(),
-            "keru_size": data["keru"].size(),
-            "predicted_size": data["predicted"].span_size(),
-            "pruned": data["pruned"],
-            "surviving_indices": data["indices"],
-        }
-        return CheckResult("kernel_transfer", _CLAIM_KT,
-                           "pass" if ok else "fail",
-                           reason=None if ok else "span mismatch",
-                           witnesses=witnesses)
-    return _timed(run)
+    status, reason, data = _kernel_transfer_data(am, u_vectors, k_vectors)
+    if status != "ok":
+        return skipped("kernel_transfer", reason)
+    witnesses = {
+        "kerv_size": data["kerv"].size(),
+        "keru_size": data["keru"].size(),
+        "predicted_size": data["predicted"].span_size(),
+        "pruned": data["pruned"],
+        "surviving_indices": data["indices"],
+    }
+    return record("kernel_transfer", data["keru"].basis == data["predicted"],
+                  "span mismatch", witnesses)
+
+
+def kernel_transfer(am, p, u_vectors, k_vectors, seed=0):
+    """The kernel_transfer job: verify_kernel_transfer, or, with u_vectors
+    a count r and k_vectors None, random_kernel_transfer_check on r random
+    vectors drawn from the seed."""
+    if k_vectors is None:
+        return random_kernel_transfer_check(am, p, u_vectors,
+                                            random.Random(seed))
+    return verify_kernel_transfer(am, p, u_vectors, k_vectors)
 
 
 def verify_lemma_2_4(am, p, u_vectors, k_vectors, depth=4):
-    """Kernel transfer for W plus Betti tables of W and U."""
-    def run():
-        claim = ("the first syzygy of W transfers to the base and the Betti "
-                 "tables of W and U are recorded")
-        status, reason, data = _kernel_transfer_data(am, p, u_vectors, k_vectors)
-        if status != "ok":
-            return CheckResult("lemma24", claim, "skipped", reason=reason)
-        ok = data["keru"].basis == data["predicted"]
-        local, mx = am.ring_local()
-        witnesses = {
-            "pruned": data["pruned"],
-            "surviving_indices": data["indices"],
-            "keru_size": data["keru"].size(),
-        }
-        if local:
-            w_sub = submodule_span(am.ring, p, data["w_gens"])
-            res_w = minimal_resolution(am.ring, w_sub, mx, depth,
-                                       table=am.type_table())
-            witnesses["betti_w"] = list(res_w.betti)
-        u_sub = submodule_span(am.a, p, data["u_vectors"])
-        res_u = minimal_resolution(am.a, u_sub, am.a_max, depth)
-        witnesses["betti_u"] = list(res_u.betti)
-        return CheckResult("lemma24", claim, "pass" if ok else "fail",
-                           reason=None if ok else "span mismatch",
-                           witnesses=witnesses)
-    return _timed(run)
+    """Kernel transfer for W plus Betti tables of W and U, under the
+    hypothesis set (so the amalgamation is local)."""
+    status, reason, data = _kernel_transfer_data(am, u_vectors, k_vectors)
+    if status != "ok":
+        return skipped("lemma24", reason)
+    _, mx = am.ring_local()
+    w_sub = submodule_span(am.ring, p, data["w_gens"])
+    res_w = minimal_resolution(am.ring, w_sub, mx, depth,
+                               table=am.type_table())
+    u_sub = submodule_span(am.a, p, data["u_vectors"])
+    res_u = minimal_resolution(am.a, u_sub, am.a_max, depth)
+    witnesses = {
+        "pruned": data["pruned"],
+        "surviving_indices": data["indices"],
+        "keru_size": data["keru"].size(),
+        "betti_w": list(res_w.betti),
+        "betti_u": list(res_u.betti),
+    }
+    return record("lemma24", data["keru"].basis == data["predicted"],
+                  "span mismatch", witnesses)
 
 
 def verify_idempotent_claim(am):
-    """No single idempotent generates M |><| J (J nonzero, square zero)."""
-    def run():
-        claim = "the maximal ideal of the amalgamation is not generated by an idempotent"
-        report, _ = hypotheses_of(am)
-        if not (report.core_ok() and am.j.size() > 1):
-            return CheckResult("idempotent", claim, "skipped",
-                               reason="requires the hypothesis set and J != 0")
-        try:
-            idems = spectrum.idempotents(am.ring, am.budget)
-        except BudgetExceededError as exc:
-            return CheckResult("idempotent", claim, "skipped", reason=str(exc))
-        offenders = []
-        for e in idems:
-            gen_ideal = ideal_span(am.ring, [e])
-            if gen_ideal.basis == am.mj.basis:
-                offenders.append(_coords_list(e))
-        ok = not offenders
-        return CheckResult(
-            "idempotent", claim, "pass" if ok else "fail",
-            reason=None if ok else "an idempotent generates the maximal ideal",
-            witnesses={"idempotents": [_coords_list(e) for e in idems],
-                       "offenders": offenders})
-    return _timed(run)
+    """No idempotent generates M |><| J.  Under the hypothesis set the
+    amalgamation is local (remark21), so its idempotents are 0 and 1."""
+    idems = (am.ring.zero(), am.ring.one())
+    offenders = [_coords_list(e) for e in idems
+                 if ideal_span(am.ring, [e]).basis == am.mj.basis]
+    return record("idempotent", not offenders,
+                  "an idempotent generates the maximal ideal",
+                  {"idempotents": [_coords_list(e) for e in idems],
+                   "offenders": offenders})
 
 
 def betti_experiment(am, depth=DEFAULT_DEPTH):
-    """Betti positivity of M |><| J and {0} x J to the given depth."""
-    def run():
-        claim = ("the maximal ideal and {0} x J have strictly positive Betti "
-                 "numbers to the cut-off, the finite-scale signature of "
-                 "infinite projective dimension")
-        report, _ = hypotheses_of(am)
-        if not report.core_ok() or am.j.size() <= 1:
-            return CheckResult("betti", claim, "skipped",
-                               reason="requires the hypothesis set and J != 0")
-        local, mx = am.ring_local()
-        if not local:
-            return CheckResult("betti", claim, "skipped",
-                               reason="amalgamation is not local")
-        table = am.type_table()
-        res_mj = minimal_resolution(am.ring, am.mj, mx, depth, table=table)
-        res_zj = minimal_resolution(am.ring, am.zero_j, mx, depth, table=table)
-        issues = res_mj.validate() + res_zj.validate()
-        positive = (all(b >= 1 for b in res_mj.betti[:depth + 1]) and
-                    all(b >= 1 for b in res_zj.betti[:depth + 1]))
-        ok = positive and not issues
-        witnesses = {
-            "betti_mj": list(res_mj.betti),
-            "betti_zero_j": list(res_zj.betti),
-            "periodic_mj": res_mj.periodic,
-            "periodic_zero_j": res_zj.periodic,
-            "resolution_issues": issues,
-            "depth": depth,
-        }
-        return CheckResult("betti", claim, "pass" if ok else "fail",
-                           reason=None if ok else "a Betti number vanished or a resolution was invalid",
-                           witnesses=witnesses)
-    return _timed(run)
+    """Betti positivity of M |><| J and {0} x J to the given depth, under
+    the hypothesis set (so the amalgamation is local)."""
+    _, mx = am.ring_local()
+    table = am.type_table()
+    res_mj = minimal_resolution(am.ring, am.mj, mx, depth, table=table)
+    res_zj = minimal_resolution(am.ring, am.zero_j, mx, depth, table=table)
+    issues = res_mj.validate() + res_zj.validate()
+    positive = (all(b >= 1 for b in res_mj.betti[:depth + 1]) and
+                all(b >= 1 for b in res_zj.betti[:depth + 1]))
+    witnesses = {
+        "betti_mj": list(res_mj.betti),
+        "betti_zero_j": list(res_zj.betti),
+        "periodic_mj": res_mj.periodic,
+        "periodic_zero_j": res_zj.periodic,
+        "resolution_issues": issues,
+        "depth": depth,
+    }
+    return record("betti", positive and not issues,
+                  "a Betti number vanished or a resolution was invalid",
+                  witnesses)
 
 
 def verify_thm_3_1_objects(am, k_elem, depth=DEFAULT_DEPTH):
     """Proof objects for the principal ideal I = R(0, k), k nonzero in J."""
-    def run():
-        claim = ("the annihilator of (0,k) is M |><| J, I = R(0,k) is "
-                 "self-annihilating and not projective, and R/I resists "
-                 "finite resolution to the cut-off")
-        if k_elem.is_zero() or not am.j.contains_element(k_elem):
-            return CheckResult("thm31", claim, "skipped",
-                               reason="k must be a nonzero element of J")
-        report, _ = hypotheses_of(am)
-        if not report.core_ok():
-            return CheckResult("thm31", claim, "skipped",
-                               reason="hypothesis set not met")
-        gen = am.embed(am.a.zero(), k_elem)
-        ideal_i = ideal_span(am.ring, [gen])
-        syz = syzygy(am.ring, [(gen,)])
-        ann_is_mj = syz.basis == am.mj.basis
-        self_ann = all((gen * x).is_zero() for x in ideal_i.element_rows())
-        local, mx = am.ring_local()
-        projective = is_projective(am.ring, ideal_i, mx)
-        whole = submodule_span(am.ring, 1, [(am.ring.one(),)])
-        res = minimal_resolution(am.ring, CokernelSpec(whole, ideal_i), mx,
-                                 depth, table=am.type_table())
-        kind, value = res.verdict
-        deep = kind == "at_least" and value >= depth
-        ok = ann_is_mj and self_ann and (not projective) and deep
-        witnesses = {
-            "k": _coords_list(k_elem),
-            "annihilator_size": syz.size(),
-            "mj_size": am.mj.size(),
-            "annihilator_is_mj": ann_is_mj,
-            "k_times_ideal_zero": self_ann,
-            "ideal_projective": projective,
-            "quotient_betti": list(res.betti),
-            "quotient_verdict": f"{kind}:{value}",
-            "resolution_issues": res.validate(),
-        }
-        return CheckResult("thm31", claim, "pass" if ok else "fail",
-                           reason=None if ok else "a proof object failed",
-                           witnesses=witnesses)
-    return _timed(run)
+    if k_elem.is_zero() or not am.j.contains_element(k_elem):
+        return skipped("thm31", "k must be a nonzero element of J")
+    gen = am.embed(am.a.zero(), k_elem)
+    ideal_i = ideal_span(am.ring, [gen])
+    syz = syzygy(am.ring, [(gen,)])
+    ann_is_mj = syz.basis == am.mj.basis
+    self_ann = all((gen * x).is_zero() for x in ideal_i.element_rows())
+    _, mx = am.ring_local()
+    projective = is_projective(am.ring, ideal_i, mx)
+    whole = submodule_span(am.ring, 1, [(am.ring.one(),)])
+    res = minimal_resolution(am.ring, CokernelSpec(whole, ideal_i), mx,
+                             depth, table=am.type_table())
+    kind, value = res.verdict
+    deep = kind == "at_least" and value >= depth
+    witnesses = {
+        "k": _coords_list(k_elem),
+        "annihilator_size": syz.size(),
+        "mj_size": am.mj.size(),
+        "annihilator_is_mj": ann_is_mj,
+        "k_times_ideal_zero": self_ann,
+        "ideal_projective": projective,
+        "quotient_betti": list(res.betti),
+        "quotient_verdict": f"{kind}:{value}",
+        "resolution_issues": res.validate(),
+    }
+    return record("thm31", ann_is_mj and self_ann and not projective and deep,
+                  "a proof object failed", witnesses)
 
 
 # -- the (3,0) kernel cascade --------------------------------------------------
@@ -564,145 +546,121 @@ def _block_generators(am, blocks):
 
 def verify_thm_3_4_bookkeeping(am, m_elem, depth=DEFAULT_DEPTH, levels=3):
     """Kernel bookkeeping for K = R(m, f(m)) plus the three-step cascade."""
-    def run():
-        claim = ("the syzygies of (m, f(m)) contain {0} x J, and the kernel "
-                 "cascade of the depth-3 argument matches the predicted "
-                 "product shapes")
-        if not am.a_max.contains_element(m_elem):
-            return CheckResult("thm34", claim, "skipped",
-                               reason="m must lie in the maximal ideal of A")
-        report, _ = hypotheses_of(am)
-        if not report.core_ok():
-            return CheckResult("thm34", claim, "skipped",
-                               reason="hypothesis set not met")
-        gen = am.embed(m_elem, am.b.zero())
-        syz = syzygy(am.ring, [(gen,)])
-        contains = syz.contains_submodule(am.zero_j)
-        equals = syz.basis == am.zero_j.basis
-        witnesses = {
-            "m": _coords_list(m_elem),
-            "syzygy_size": syz.size(),
-            "contains_zero_j": contains,
-            "equals_zero_j": equals,
-            "m_is_zero": m_elem.is_zero(),
-        }
-        # the cascade: start from M |><| J and walk predicted syzygy shapes
-        blocks = [(am.a_max, 1)]
-        cascade_ok = True
-        cascade_log = []
-        for level in range(levels):
-            gens, next_blocks = _block_generators(am, blocks)
-            actual = syzygy(am.ring, gens)
-            predicted = am.product_set_basis(next_blocks)
-            match = actual.basis == predicted
-            cascade_log.append({
-                "level": level,
-                "generators": len(gens),
-                "kernel_size": actual.size(),
-                "match": match,
-            })
-            if not match:
-                cascade_ok = False
-                break
-            blocks = next_blocks
-        witnesses["cascade"] = cascade_log
-        ok = contains and cascade_ok
-        return CheckResult("thm34", claim, "pass" if ok else "fail",
-                           reason=None if ok else "bookkeeping mismatch",
-                           witnesses=witnesses)
-    return _timed(run)
+    if not am.a_max.contains_element(m_elem):
+        return skipped("thm34", "m must lie in the maximal ideal of A")
+    gen = am.embed(m_elem, am.b.zero())
+    syz = syzygy(am.ring, [(gen,)])
+    contains = syz.contains_submodule(am.zero_j)
+    witnesses = {
+        "m": _coords_list(m_elem),
+        "syzygy_size": syz.size(),
+        "contains_zero_j": contains,
+        "equals_zero_j": syz.basis == am.zero_j.basis,
+        "m_is_zero": m_elem.is_zero(),
+    }
+    # the cascade: start from M |><| J and walk predicted syzygy shapes
+    blocks = [(am.a_max, 1)]
+    cascade_ok = True
+    cascade_log = []
+    for level in range(levels):
+        gens, next_blocks = _block_generators(am, blocks)
+        actual = syzygy(am.ring, gens)
+        predicted = am.product_set_basis(next_blocks)
+        match = actual.basis == predicted
+        cascade_log.append({
+            "level": level,
+            "generators": len(gens),
+            "kernel_size": actual.size(),
+            "match": match,
+        })
+        if not match:
+            cascade_ok = False
+            break
+        blocks = next_blocks
+    witnesses["cascade"] = cascade_log
+    return record("thm34", contains and cascade_ok, "bookkeeping mismatch",
+                  witnesses)
 
 
 def pd_profile(ring, depth=8, budget=DEFAULT_MAX_ORDER):
-    """Projective-dimension survey of cyclic quotients R/I."""
-    def run():
-        claim = ("tabulated projective-dimension verdicts of quotients by "
-                 "ideals; the honest finite-scale proxy for uniform bounds")
-        local, mx = spectrum.is_local(ring)
-        if not local:
-            return CheckResult("pd_profile", claim, "skipped",
-                               reason="ring is not local")
-        order = ring.order()
-        ideals = {}
-        if order <= PD_EXHAUSTIVE_CAP:
-            for x in ring.elements(budget):
-                ideal = ideal_span(ring, [x])
-                ideals.setdefault(ideal.basis, ideal)
-            frontier = list(ideals.values())
-            while frontier:
-                new = []
-                current = list(ideals.values())
-                for i1 in frontier:
-                    for i2 in current:
-                        joined = ideal_sum(i1, i2)
-                        if joined.basis not in ideals:
-                            if len(ideals) >= PD_IDEAL_BUDGET:
-                                return CheckResult(
-                                    "pd_profile", claim, "skipped",
-                                    reason="ideal lattice exceeds the budget")
-                            ideals[joined.basis] = joined
-                            new.append(joined)
-                frontier = new
-            mode = "exhaustive"
-        elif order <= budget:
-            # too many elements for the full lattice: principal ideals only
-            for x in ring.elements(budget):
-                ideal = ideal_span(ring, [x])
-                ideals.setdefault(ideal.basis, ideal)
-                if len(ideals) >= PD_IDEAL_BUDGET:
-                    break
-            mode = "principal_only"
+    """Projective-dimension survey of cyclic quotients R/I of a local ring."""
+    order = ring.order()
+    ideals = {}
+    if order <= PD_EXHAUSTIVE_CAP:
+        for x in ring.elements(budget):
+            ideal = ideal_span(ring, [x])
+            ideals.setdefault(ideal.basis, ideal)
+        frontier = list(ideals.values())
+        while frontier:
+            new = []
+            current = list(ideals.values())
+            for i1 in frontier:
+                for i2 in current:
+                    joined = ideal_sum(i1, i2)
+                    if joined.basis not in ideals:
+                        if len(ideals) >= PD_IDEAL_BUDGET:
+                            return skipped("pd_profile",
+                                           "ideal lattice exceeds the budget")
+                        ideals[joined.basis] = joined
+                        new.append(joined)
+            frontier = new
+        mode = "exhaustive"
+    elif order <= budget:
+        # too many elements for the full lattice: principal ideals only
+        for x in ring.elements(budget):
+            ideal = ideal_span(ring, [x])
+            ideals.setdefault(ideal.basis, ideal)
+            if len(ideals) >= PD_IDEAL_BUDGET:
+                break
+        mode = "principal_only"
+    else:
+        return skipped("pd_profile", "ring exceeds the enumeration budget")
+    whole = submodule_span(ring, 1, [(ring.one(),)])
+    # a local finite ring's maximal ideal is its nilradical
+    mx = spectrum.nilradical(ring)
+    table = TypeTable(ring, mx)
+    rows = []
+    max_finite = 0
+    deep = 0
+    for basis, ideal in sorted(ideals.items(), key=lambda kv: kv[0].rows):
+        if not ideal.is_proper():
+            continue
+        res = minimal_resolution(ring, CokernelSpec(whole, ideal), mx,
+                                 depth, table=table)
+        kind, value = res.verdict
+        if kind == "exact":
+            max_finite = max(max_finite, value)
         else:
-            return CheckResult("pd_profile", claim, "skipped",
-                               reason="ring exceeds the enumeration budget")
-        whole = submodule_span(ring, 1, [(ring.one(),)])
-        table = TypeTable(ring, mx)
-        rows = []
-        max_finite = 0
-        deep = 0
-        for basis, ideal in sorted(ideals.items(), key=lambda kv: kv[0].rows):
-            if not ideal.is_proper():
-                continue
-            res = minimal_resolution(ring, CokernelSpec(whole, ideal), mx,
-                                     depth, table=table)
-            kind, value = res.verdict
-            if kind == "exact":
-                max_finite = max(max_finite, value)
-            else:
-                deep += 1
-            rows.append({
-                "ideal_size": ideal.size(),
-                "verdict": f"{kind}:{value}",
-            })
-        return CheckResult(
-            "pd_profile", claim, "pass",
-            witnesses={"mode": mode, "ideals": rows,
-                       "max_finite_pd": max_finite,
-                       "deep_verdicts": deep, "depth": depth})
-    return _timed(run)
+            deep += 1
+        rows.append({
+            "ideal_size": ideal.size(),
+            "verdict": f"{kind}:{value}",
+        })
+    return record("pd_profile", True, None,
+                  {"mode": mode, "ideals": rows, "max_finite_pd": max_finite,
+                   "deep_verdicts": deep, "depth": depth})
 
 
 def gldim_signature(ring, depth=8):
-    """Global-dimension signature: pd verdict of the residue field."""
-    def run():
-        claim = ("the residue field's resolution terminates exactly for "
-                 "fields and resists to the cut-off otherwise")
-        local, mx = spectrum.is_local(ring)
-        if not local:
-            return CheckResult("gldim", claim, "skipped",
-                               reason="ring is not local")
-        from .modules import global_dimension_signature
-        res = global_dimension_signature(ring, mx, depth)
-        kind, value = res.verdict
-        issues = res.validate()
-        witnesses = {"betti": list(res.betti), "verdict": f"{kind}:{value}",
-                     "periodic": res.periodic, "resolution_issues": issues,
-                     "depth": depth}
-        ok = not issues
-        return CheckResult("gldim", claim, "pass" if ok else "fail",
-                           reason=None if ok else "resolution invalid",
-                           witnesses=witnesses)
-    return _timed(run)
+    """Global-dimension signature of a local ring: pd verdict of the
+    residue field."""
+    from .modules import global_dimension_signature
+    # a local finite ring's maximal ideal is its nilradical
+    res = global_dimension_signature(ring, spectrum.nilradical(ring), depth)
+    kind, value = res.verdict
+    issues = res.validate()
+    witnesses = {"betti": list(res.betti), "verdict": f"{kind}:{value}",
+                 "periodic": res.periodic, "resolution_issues": issues,
+                 "depth": depth}
+    return record("gldim", not issues, "resolution invalid", witnesses)
+
+
+def ringcheck(ring):
+    """The structure constants satisfy the ring axioms."""
+    rep = verify_ring(ring)
+    return record("ringcheck", rep.ok, "axiom failure",
+                  {"failures": [list(map(str, f)) for f in rep.failures],
+                   "order": ring.order()})
 
 
 # -- randomized instance generation -------------------------------------------
@@ -729,3 +687,22 @@ def random_kernel_transfer_check(am, p, r, rng):
                 result.witnesses["draws"] = draws
             break
     return result
+
+
+# Each ringdsl job: its precondition (a key of PRECONDITIONS, or None) and
+# its check.  dsl.JOBS holds the kinds of the check's arguments, and
+# cli.run_job coerces them, applies the precondition and times the check.
+JOBS = {
+    "hypotheses": (None, lambda am: hypotheses_of(am)[1]),
+    "remark21": ("local_base_square_zero_j", verify_remark_2_1),
+    "kernel_transfer": ("hypotheses", kernel_transfer),
+    "lemma24": ("hypotheses", verify_lemma_2_4),
+    "power_iso": (None, power_iso),
+    "idempotent": ("hypotheses_and_j", verify_idempotent_claim),
+    "betti": ("hypotheses_and_j", betti_experiment),
+    "thm31": ("hypotheses", verify_thm_3_1_objects),
+    "thm34": ("hypotheses", verify_thm_3_4_bookkeeping),
+    "gldim": ("local", gldim_signature),
+    "pd_profile": ("local", pd_profile),
+    "ringcheck": (None, ringcheck),
+}

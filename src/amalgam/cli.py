@@ -6,15 +6,21 @@ Subcommands:
   resolve FILE --module M    resolve a declared ideal/submodule
   spectrum FILE --ring R     nilradical and maximal ideals of a ring
 
+Each job is declared once: the kinds of its arguments in dsl.JOBS, its
+precondition and check in checks.JOBS.  run_job coerces the arguments by
+kind, skips the job when its precondition fails and times its check.
+
 Exit codes: 0 all checks passed, 1 at least one failed record, 2 input
-error (syntax, unknown names, bad arity, negative depth, a non-module given
-to resolve).
+error (syntax, unknown names, bad arity, a job argument of the wrong kind
+or shape, a count below 1, a negative depth, a non-module given to
+resolve).  A job whose precondition fails, or that names a declaration
+that failed to build, gives a skipped record.
 """
 
 import argparse
 import functools
-import random
 import sys
+import time
 
 from . import checks as checklib
 from . import dsl, spectrum
@@ -31,9 +37,9 @@ class BuildError(ValueError):
 
 
 def check_arity(spec):
-    """Check every job, and every constructor call in a declaration,
-    against the argument counts in dsl.JOBS and dsl.CONSTRUCTORS; the
-    first mismatch raises."""
+    """Check every job and every constructor call, in a declaration or in
+    a job's arguments, against the argument counts of dsl.JOBS and
+    dsl.CONSTRUCTORS; the first mismatch raises."""
     for stmt in spec.statements:
         _check_arity(stmt.expr if isinstance(stmt, dsl.Decl) else stmt)
 
@@ -46,7 +52,11 @@ def _check_arity(node):
     job = isinstance(node, dsl.Job)
     if not (job or isinstance(node, dsl.Call)):
         return
-    lo, hi = (dsl.JOBS if job else dsl.CONSTRUCTORS)[node.name]
+    if job:
+        lo, hi = map(sum, zip(*[dsl.KIND_ARGS.get(kind, (1, 1))
+                                for kind in dsl.JOBS[node.name]]))
+    else:
+        lo, hi = dsl.CONSTRUCTORS[node.name]
     n = len(node.args)
     if n < lo or (hi is not None and n > hi):
         bound = "+" if hi is None else ("" if hi == lo else f"..{hi}")
@@ -54,11 +64,8 @@ def _check_arity(node):
         raise dsl.DslSemanticError(
             f"{'job ' if job else ''}{node.name!r} takes {lo}{bound} "
             f"arguments, got {n}", *where)
-    # a job's arguments are not walked: the parser leaves the constructor
-    # names in them unchecked too
-    if not job:
-        for a in node.args:
-            _check_arity(a)
+    for a in node.args:
+        _check_arity(a)
 
 
 # -- evaluation -----------------------------------------------------------------
@@ -236,87 +243,77 @@ class Builder:
 
 # -- job dispatch -----------------------------------------------------------------
 
-def _as_amalgam(value):
-    if not isinstance(value, AmalgamObjects):
-        raise BuildError("this job needs an amalgamation or duplication")
-    return value
-
-
-def _as_depth(job, args, index, default):
-    """The job's optional depth argument; a negative depth is an input error."""
-    if len(args) <= index:
-        return default
-    d = _as_int(args[index], "depth")
-    if d < 0:
-        raise dsl.DslSemanticError(
-            f"job {job.name!r}: depth must be non-negative, got {d}", job.line)
-    return d
-
-
 def run_job(builder, job, options):
+    """The record of one job: its check run on its arguments, coerced by
+    their kinds in dsl.JOBS, or skipped when its precondition fails; the
+    record carries the wall time of both."""
+    values = _job_values(builder, job, options)
+    precondition, check = checklib.JOBS[job.name]
+    holds, reason = checklib.PRECONDITIONS.get(precondition, (None, None))
+    start = time.perf_counter()
+    if holds is None or holds(values[0]):
+        result = check(*values)
+    else:
+        result = checklib.skipped(job.name, reason)
+    result.wall_ms = int((time.perf_counter() - start) * 1000)
+    return result
+
+
+def _job_values(builder, job, options):
+    """The arguments of the job's check, by the kinds in dsl.JOBS.
+
+    A reference to a declaration that failed to build raises BuildError,
+    which skips the job; an argument of the wrong kind is an input error.
+    """
     args = [builder.eval_expr(a) for a in job.args]
-    name = job.name
-    depth = options.depth
-    if name == "hypotheses":
-        am = _as_amalgam(args[0])
-        _, result = checklib.hypotheses_of(am)
-        return result
-    if name == "remark21":
-        return checklib.verify_remark_2_1(_as_amalgam(args[0]))
-    if name == "power_iso":
-        return checklib.power_iso(_as_amalgam(args[0]),
-                                  _as_int(args[1], "n"),
-                                  seed=options.seed,
-                                  budget=options.max_order)
-    if name == "idempotent":
-        return checklib.verify_idempotent_claim(_as_amalgam(args[0]))
-    if name == "betti":
-        d = _as_depth(job, args, 1, depth)
-        return checklib.betti_experiment(_as_amalgam(args[0]), depth=d)
-    if name == "thm31":
-        am = _as_amalgam(args[0])
-        kvec = _as_int_list(args[1], "k")
-        d = _as_depth(job, args, 2, depth)
-        return checklib.verify_thm_3_1_objects(
-            am, am.b.element(tuple(kvec)), depth=d)
-    if name == "thm34":
-        am = _as_amalgam(args[0])
-        mvec = _as_int_list(args[1], "m")
-        d = _as_depth(job, args, 2, depth)
-        return checklib.verify_thm_3_4_bookkeeping(
-            am, am.a.element(tuple(mvec)), depth=d)
-    if name == "gldim":
-        ring = _as_ring(args[0], "ring")
-        d = _as_depth(job, args, 1, depth)
-        return checklib.gldim_signature(ring, depth=d)
-    if name == "pd_profile":
-        ring = _as_ring(args[0], "ring")
-        d = _as_depth(job, args, 1, depth)
-        return checklib.pd_profile(ring, depth=d, budget=options.max_order)
-    if name == "ringcheck":
-        ring = _as_ring(args[0], "ring")
-        rep = verify_ring(ring)
-        return checklib.CheckResult(
-            "ringcheck", "structure constants satisfy the ring axioms",
-            "pass" if rep.ok else "fail",
-            reason=None if rep.ok else "axiom failure",
-            witnesses={"failures": [list(map(str, f)) for f in rep.failures],
-                       "order": ring.order()})
-    if name in ("kernel_transfer", "lemma24"):
-        am = _as_amalgam(args[0])
-        p = _as_int(args[1], "p")
-        if name == "kernel_transfer" and len(args) == 3 and isinstance(args[2], int):
-            rng = random.Random(options.seed)
-            return checklib.random_kernel_transfer_check(am, p, args[2], rng)
-        u_mat = _as_matrix(args[2], "u vectors")
-        k_mat = _as_matrix(args[3], "k vectors")
-        u_vecs = [vector_from_coords(am.a, p, tuple(r)) for r in u_mat]
-        k_vecs = [vector_from_coords(am.b, p, tuple(r)) for r in k_mat]
-        if name == "kernel_transfer":
-            return checklib.verify_kernel_transfer(am, p, u_vecs, k_vecs)
-        d = _as_depth(job, args, 4, min(depth, 4))
-        return checklib.verify_lemma_2_4(am, p, u_vecs, k_vecs, depth=d)
-    raise BuildError(f"job {name!r} is not implemented")
+    values = []
+    try:
+        for kind in dsl.JOBS[job.name]:
+            values += _coerce(kind, args, values, options)
+    except ValueError as exc:
+        raise dsl.DslSemanticError(f"job {job.name!r}: {exc}",
+                                   job.line) from None
+    return values
+
+
+def _coerce(kind, args, values, options):
+    """The check arguments one kind gives (see dsl.KIND_ARGS), taken off
+    the front of args; a ValueError says what is wrong with them."""
+    if kind in ("seed", "budget"):
+        return [options.seed if kind == "seed" else options.max_order]
+    if kind in ("depth", "short_depth"):
+        depth = _as_int(args.pop(0), "depth") if args else (
+            options.depth if kind == "depth" else min(options.depth, 4))
+        if depth < 0:
+            raise ValueError(f"depth must be non-negative, got {depth}")
+        return [depth]
+    value = args.pop(0)
+    if kind == "amalgam":
+        if not isinstance(value, AmalgamObjects):
+            raise ValueError("needs an amalgamation or duplication")
+        return [value]
+    if kind == "ring":
+        return [_as_ring(value, "the argument")]
+    if kind == "count" or (kind == "draws_or_vectors"
+                           and isinstance(value, int)):
+        if _as_int(value, "a count") < 1:
+            raise ValueError(f"a count must be at least 1, got {value}")
+        if kind == "draws_or_vectors" and args:
+            raise ValueError("a count of random vectors takes no k vectors")
+        return [value] if kind == "count" else [value, None]
+    am = values[0]
+    if kind in ("a_element", "b_element"):
+        ring = am.a if kind == "a_element" else am.b
+        return [ring.element(tuple(_as_int_list(value, "an element")))]
+    if not args:
+        raise ValueError("u vectors need k vectors after them")
+    u_rows = _as_matrix(value, "u vectors")
+    k_rows = _as_matrix(args.pop(0), "k vectors")
+    if not u_rows or len(u_rows) != len(k_rows):
+        raise ValueError("needs as many k vectors as u vectors, at least one")
+    p = values[-1]
+    return [[vector_from_coords(am.a, p, tuple(r)) for r in u_rows],
+            [vector_from_coords(am.b, p, tuple(r)) for r in k_rows]]
 
 
 # -- file execution ----------------------------------------------------------------

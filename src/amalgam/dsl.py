@@ -14,9 +14,11 @@ pretty-prints the canonical form, so parse -> serialize -> parse is the
 identity on ASTs.
 """
 
-# The vocabulary: name -> (least, most) argument count, most None for no
-# upper bound.  The parser rejects a name missing here; the CLI checks the
-# counts once the whole file has parsed.
+# The vocabulary.  CONSTRUCTORS maps a name to its (least, most) argument
+# count, most None for no upper bound; JOBS maps a job to the kinds of its
+# check's arguments.  The parser rejects a name missing here; the CLI
+# checks the counts once the whole file has parsed and coerces a job's
+# arguments by kind.
 CONSTRUCTORS = {
     "zmod": (1, 1), "trunc_poly": (2, 2), "product": (2, 2),
     "quotient": (2, 2), "trivial_ext": (2, 2), "subring_image_plus": (2, 2),
@@ -24,10 +26,26 @@ CONSTRUCTORS = {
     "ideal": (2, 2), "hom": (3, 3), "module": (2, None), "submod": (3, 3),
 }
 JOBS = {
-    "hypotheses": (1, 1), "remark21": (1, 1), "kernel_transfer": (3, 4),
-    "lemma24": (4, 5), "power_iso": (2, 2), "idempotent": (1, 1),
-    "betti": (1, 2), "thm31": (2, 3), "thm34": (2, 3), "gldim": (1, 2),
-    "pd_profile": (1, 2), "ringcheck": (1, 1),
+    "hypotheses": ("amalgam",), "remark21": ("amalgam",),
+    "kernel_transfer": ("amalgam", "count", "draws_or_vectors", "seed"),
+    "lemma24": ("amalgam", "count", "vectors", "short_depth"),
+    "power_iso": ("amalgam", "count", "seed", "budget"),
+    "idempotent": ("amalgam",), "betti": ("amalgam", "depth"),
+    "thm31": ("amalgam", "b_element", "depth"),
+    "thm34": ("amalgam", "a_element", "depth"),
+    "gldim": ("ring", "depth"), "pd_profile": ("ring", "depth", "budget"),
+    "ringcheck": ("ring",),
+}
+# A kind takes one job argument: an "amalgam", a "ring" (or an
+# amalgamation's ring), a "count" >= 1, an "a_element" or "b_element" in
+# A's or B's coordinates; or the (least, most) given here.  "vectors" are
+# u vectors over A, then as many k vectors over B, each of p * rank
+# coordinates for p the count before; "draws_or_vectors" may be a count
+# of random ones instead.  "depth" (>= 0) defaults to --depth, and
+# "short_depth" to at most 4.  "seed" and "budget" are --seed, --max-order.
+KIND_ARGS = {
+    "vectors": (2, 2), "draws_or_vectors": (1, 2), "depth": (0, 1),
+    "short_depth": (0, 1), "seed": (0, 0), "budget": (0, 0),
 }
 
 
@@ -322,6 +340,8 @@ def parse(text):
             if job_call.name not in JOBS:
                 raise DslSemanticError(
                     f"unknown job {job_call.name!r}", name_tok[2], name_tok[3])
+            for a in job_call.args:
+                _check_constructors(a)
             _check_refs(job_call.args, known)
             statements.append(Job(job_call.name, job_call.args, lineno))
             continue

@@ -96,10 +96,11 @@ class FiniteRing:
     # -- element plumbing ---------------------------------------------------
 
     def element(self, coords):
-        coords = tuple(c % o for c, o in zip(coords, self.orders))
         if len(coords) != self.rank:
-            raise ValueError(f"expected {self.rank} coordinates")
-        return RingElement(self, coords)
+            raise ValueError(
+                f"expected {self.rank} coordinates, got {len(coords)}")
+        return RingElement(self, tuple(c % o
+                                       for c, o in zip(coords, self.orders)))
 
     def zero(self):
         return RingElement(self, (0,) * self.rank)

@@ -113,7 +113,7 @@ def test_criterion_03_kernel_transfer(instances):
         k_vectors = [tuple(am.j.random_ring_element(rng) for _ in range(p))
                      for _ in range(r)]
         status, reason, data = checklib._kernel_transfer_data(
-            am, p, u_vectors, k_vectors)
+            am, u_vectors, k_vectors)
         if status != "ok":
             continue
         if data["keru"].basis != data["predicted"]:

@@ -2,6 +2,9 @@
 
 import random
 
+import pytest
+
+from amalgam import checks, cli, dsl
 from amalgam.instances import standard_instances
 from amalgam.checks import (
     betti_experiment,
@@ -18,12 +21,24 @@ from amalgam.checks import (
     verify_thm_3_1_objects,
     verify_thm_3_4_bookkeeping,
 )
+from amalgam.amalgam import duplication
 from amalgam.modules import ideal_span, syzygy
-from amalgam.rings import zmod
-from amalgam.spectrum import is_local
+from amalgam.rings import product, trunc_poly, zmod
+from amalgam.spectrum import idempotents, is_local
 
 
 INSTANCES = standard_instances()
+
+
+def dispatch(name, *args):
+    """The record cli.run_job gives for job name on the given objects,
+    under the default options."""
+    builder = cli.Builder(65536)
+    builder.env.update((f"x{i}", a) for i, a in enumerate(args))
+    options = cli.build_argparser().parse_args(["check", "-"])
+    return cli.run_job(builder, dsl.Job(name, [dsl.Ref(f"x{i}")
+                                               for i in range(len(args))]),
+                       options)
 
 
 def test_instances_sanity():
@@ -208,6 +223,24 @@ def test_idempotent_claim():
     assert verify_idempotent_claim(t3).passed
 
 
+def test_idempotent_witness_lists_every_idempotent():
+    # the hypothesis set makes the amalgamation local, so 0 and 1 are all
+    for name, am in INSTANCES.items():
+        result = verify_idempotent_claim(am)
+        assert result.passed, name
+        assert (result.witnesses["idempotents"] ==
+                [list(e.coords) for e in idempotents(am.ring)]), name
+
+
+def test_idempotent_past_the_enumeration_budget():
+    # order 2^17 > 65536: the claim needs no enumeration
+    a = trunc_poly(2, 16)
+    am = duplication(a, ideal_span(a, [a.basis_element(15)]))
+    result = dispatch("idempotent", am)
+    assert result.passed, result.reason
+    assert result.witnesses["idempotents"] == [[0] * 17, [1] + [0] * 16]
+
+
 def test_betti_experiment_standard_instances():
     for name in ("dup_z4", "tower_dim1", "trunc_t3"):
         am = INSTANCES[name]
@@ -220,10 +253,10 @@ def test_betti_experiment_standard_instances():
 
 def test_betti_experiment_refuses_zero_j():
     z4 = zmod(4)
-    from amalgam.amalgam import duplication
     obj = duplication(z4, ideal_span(z4, []))
-    result = betti_experiment(obj, depth=4)
+    result = dispatch("betti", obj, 4)
     assert result.status == "skipped"
+    assert result.reason == "requires the hypothesis set and J != 0"
 
 
 def test_thm_3_1_objects():
@@ -276,8 +309,8 @@ def test_pd_profile():
     res = pd_profile(dup.ring, depth=6)
     assert res.passed
     assert res.witnesses["deep_verdicts"] >= 2
-    res = pd_profile(zmod(6), depth=6)
-    assert res.status == "skipped"  # not local
+    res = dispatch("pd_profile", zmod(6), 6)
+    assert res.status == "skipped" and res.reason == "ring is not local"
 
 
 def test_amalgamation_closure_against_pair_arithmetic():
@@ -460,12 +493,13 @@ def test_hypotheses_of_uses_the_bundles_own_subring(monkeypatch):
         return real(ring, *args)
 
     def no_rebuild(*args):
-        raise AssertionError("f(A) + J rebuilt")
+        raise AssertionError("f(A) + J or J inside it rebuilt")
 
     fresh = standard_instances()
     for name, am in fresh.items():
         expected = check_hypotheses(am.a, am.b, am.f, am.j, am.budget)
         monkeypatch.setattr(checks, "image_plus_J", no_rebuild)
+        monkeypatch.setattr(checks, "ideal_in_subring", no_rebuild)
         monkeypatch.setattr(spectrum, "is_local", counting)
         report, result = hypotheses_of(am)
         # the subring's locality is decided once per bundle, shared with
@@ -475,3 +509,63 @@ def test_hypotheses_of_uses_the_bundles_own_subring(monkeypatch):
         assert report.to_dict() == expected[0].to_dict(), name
         assert result.to_dict() == expected[1].to_dict(), name
     assert sum(ring is am.subring for am in fresh.values() for ring in calls) == len(fresh)
+
+
+def _outside_the_hypothesis_set():
+    # A local, J = (x^2) proper with J^2 = 0, but f(M)J holds x * x^2 != 0
+    a = trunc_poly(2, 4)
+    return duplication(a, ideal_span(a, [a.basis_element(2)]))
+
+
+def _non_local_base():
+    a = product(zmod(2), zmod(4))
+    return duplication(a, ideal_span(a, [a.element((0, 2))]))
+
+
+def _zero_j():
+    z4 = zmod(4)
+    return duplication(z4, ideal_span(z4, []))
+
+
+# an instance failing each precondition, and only that one where it can
+FAILS = {
+    "local": lambda: zmod(6),
+    "hypotheses": _outside_the_hypothesis_set,
+    "hypotheses_and_j": _zero_j,
+    "local_base_square_zero_j": _non_local_base,
+}
+
+
+def _arguments(name, subject):
+    """Job arguments of the right kinds on subject, zero where they can be."""
+    args = []
+    for kind in dsl.JOBS[name]:
+        if kind in ("amalgam", "ring"):
+            args.append(subject)
+        elif kind in ("count", "draws_or_vectors", "depth", "short_depth"):
+            args.append(1)
+        elif kind in ("a_element", "b_element"):
+            ring = subject.a if kind == "a_element" else subject.b
+            args.append([0] * ring.rank)
+        elif kind == "vectors":
+            args += [[[0] * subject.a.rank], [[0] * subject.b.rank]]
+    return args
+
+
+@pytest.mark.parametrize("name", sorted(n for n, (pre, _) in checks.JOBS.items()
+                                        if pre is not None))
+def test_every_job_is_skipped_when_its_precondition_fails(name):
+    precondition, _ = checks.JOBS[name]
+    subject = FAILS[precondition]()
+    holds, reason = checks.PRECONDITIONS[precondition]
+    assert not holds(subject)
+    result = dispatch(name, *_arguments(name, subject))
+    assert result.status == "skipped"
+    assert (result.name, result.reason) == (name, reason)
+    assert result.claim == checks.CLAIMS[name]
+
+
+def test_the_parser_and_the_dispatcher_know_the_same_jobs():
+    assert set(dsl.JOBS) == set(checks.JOBS) == set(checks.CLAIMS)
+    assert {pre for pre, _ in checks.JOBS.values()} - {None} == set(
+        checks.PRECONDITIONS)

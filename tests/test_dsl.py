@@ -430,3 +430,51 @@ def test_python_m_amalgam_runs_the_cli_from_a_checkout(capsys):
     assert proc.returncode == 0, proc.stderr
     assert run_cli(["check", path, "--format", "json"]) == 0
     assert proc.stdout == capsys.readouterr().out
+
+
+# f(M)J holds x * x^2 != 0 here, so the hypothesis set fails and the
+# transfer identity's proof does not apply
+_OUTSIDE = ("A = trunc_poly(2, 4)\n"
+            "D = duplication(A, ideal(A, [[0, 0, 1, 0]]))\n")
+
+
+@pytest.mark.parametrize("job, seed", [
+    ("kernel_transfer(D, 1, 1)", 0),
+    ("kernel_transfer(D, 1, 1)", 2),
+    ("lemma24(D, 1, [[0, 1, 0, 0]], [[0, 0, 1, 0]])", 0),
+], ids=["kernel_transfer-seed0", "kernel_transfer-seed2", "lemma24"])
+def test_kernel_transfer_and_lemma24_need_the_hypothesis_set(
+        capsys, tmp_path, job, seed):
+    path = tmp_path / "outside.ring"
+    path.write_text(_OUTSIDE + f"job {job}\n")
+    assert run_cli(["check", str(path), "--format", "json",
+                    "--seed", str(seed)]) == 0
+    [record] = json.loads(capsys.readouterr().out)["checks"]
+    assert record["status"] == "skipped"
+    assert record["reason"] == "hypothesis set not met"
+
+
+@pytest.mark.parametrize("job", [
+    "gldim(zmod(4, 5))",
+    "gldim(mystery(3))",
+    "gldim(I)",
+    "betti(A)",
+    "thm34(D, [])",
+    "thm31(D, [2, 0, 0])",
+    "kernel_transfer(D, 1, [[2]])",
+    "kernel_transfer(D, 1, 2, [[0]])",
+    "kernel_transfer(D, 1, [[2]], [[0], [0]])",
+    "kernel_transfer(D, 1, [], [])",
+    "lemma24(D, 2, [[2]], [[0]])",
+    "kernel_transfer(D, 0, 1)",
+    "kernel_transfer(D, 1, 0)",
+    "lemma24(D, 0, [[2]], [[0]])",
+    "power_iso(D, 0)",
+])
+def test_malformed_job_arguments_are_input_errors(capsys, tmp_path, job):
+    path = tmp_path / "malformed.ring"
+    path.write_text(_DUP + f"job {job}\n")
+    assert run_cli(["check", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("input error: line 4, col ")

@@ -53,6 +53,13 @@ def test_zmod_shapes():
         zmod(1)
 
 
+@pytest.mark.parametrize("coords", [(), (1,), (1, 0, 0)])
+def test_element_needs_one_coordinate_per_basis_element(coords):
+    # an extra coordinate was once dropped without a word
+    with pytest.raises(ValueError, match="expected 2 coordinates"):
+        trunc_poly(2, 2).element(coords)
+
+
 def test_zmod6_idempotents():
     z6 = zmod(6)
     vals = sorted(e.coords[0] for e in idempotents(z6))
