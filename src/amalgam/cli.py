@@ -6,15 +6,20 @@ Subcommands:
   resolve FILE --module M    resolve a declared ideal/submodule
   spectrum FILE --ring R     nilradical and maximal ideals of a ring
 
-Each job is declared once: the kinds of its arguments in dsl.JOBS, its
-precondition and check in checks.JOBS.  run_job coerces the arguments by
-kind, skips the job when its precondition fails and times its check.
+Each constructor is declared once: the kinds of its arguments in
+dsl.CONSTRUCTORS, its library call in CONSTRUCTORS.  Each job is too: the
+kinds in dsl.JOBS, its precondition and check in checks.JOBS.  One
+routine, _coerce, turns an argument of either into a value by its kind;
+Builder.construct then calls the library, and run_job skips the job when
+its precondition fails and times its check.
 
 Exit codes: 0 all checks passed, 1 at least one failed record, 2 input
 error (syntax, unknown names, bad arity, a job argument of the wrong kind
-or shape, a count below 1, a negative depth, a non-module given to
-resolve).  A job whose precondition fails, or that names a declaration
-that failed to build, gives a skipped record.
+or shape, a count below 1, a negative depth, an unknown --job, a
+non-module given to resolve).  A declaration whose arguments have the
+wrong kind or shape, or that the library refuses, gives a failed
+construct:NAME record; a job whose precondition fails, or that names a
+declaration that failed to build, gives a skipped record.
 """
 
 import argparse
@@ -38,8 +43,8 @@ class BuildError(ValueError):
 
 def check_arity(spec):
     """Check every job and every constructor call, in a declaration or in
-    a job's arguments, against the argument counts of dsl.JOBS and
-    dsl.CONSTRUCTORS; the first mismatch raises."""
+    a job's arguments, against the argument counts its kinds in dsl.JOBS
+    or dsl.CONSTRUCTORS allow; the first mismatch raises."""
     for stmt in spec.statements:
         _check_arity(stmt.expr if isinstance(stmt, dsl.Decl) else stmt)
 
@@ -52,11 +57,9 @@ def _check_arity(node):
     job = isinstance(node, dsl.Job)
     if not (job or isinstance(node, dsl.Call)):
         return
-    if job:
-        lo, hi = map(sum, zip(*[dsl.KIND_ARGS.get(kind, (1, 1))
-                                for kind in dsl.JOBS[node.name]]))
-    else:
-        lo, hi = dsl.CONSTRUCTORS[node.name]
+    kinds = (dsl.JOBS if job else dsl.CONSTRUCTORS)[node.name]
+    lows, highs = zip(*[dsl.KIND_ARGS.get(kind, (1, 1)) for kind in kinds])
+    lo, hi = sum(lows), None if None in highs else sum(highs)
     n = len(node.args)
     if n < lo or (hi is not None and n > hi):
         bound = "+" if hi is None else ("" if hi == lo else f"..{hi}")
@@ -70,33 +73,34 @@ def _check_arity(node):
 
 # -- evaluation -----------------------------------------------------------------
 
-def _as_int(value, what):
-    if not isinstance(value, int):
-        raise BuildError(f"{what} must be an integer")
-    return value
+def _table(char, orders, unit, tensor):
+    """The ring of table(): tensor lists the rank^2 products b_i * b_j row
+    by row; the structure constants must make a ring."""
+    d = max(len(orders), 1)
+    ring = FiniteRing(char, orders,
+                      [tensor[i:i + d] for i in range(0, len(tensor), d)],
+                      unit)
+    rep = verify_ring(ring)
+    if not rep.ok:
+        raise ValueError(f"structure constants are not a ring: {rep.failures[0]}")
+    return ring
 
 
-def _as_int_list(value, what):
-    if not isinstance(value, list) or not all(isinstance(x, int) for x in value):
-        raise BuildError(f"{what} must be a flat integer list")
-    return value
-
-
-def _as_matrix(value, what):
-    if (not isinstance(value, list)
-            or not all(isinstance(r, list) for r in value)):
-        raise BuildError(f"{what} must be a list of integer lists")
-    for r in value:
-        _as_int_list(r, what)
-    return value
-
-
-def _as_ring(value, what):
-    if isinstance(value, AmalgamObjects):
-        return value.ring
-    if isinstance(value, FiniteRing):
-        return value
-    raise BuildError(f"{what} must be a ring")
+# What each constructor builds from the values its kinds in dsl.CONSTRUCTORS
+# give; the library calls check the shapes.
+CONSTRUCTORS = {
+    "zmod": zmod, "trunc_poly": trunc_poly, "product": product,
+    "quotient": lambda ring, ideal: spectrum.quotient_ring(ring, ideal)[0],
+    "trivial_ext": trivial_extension,
+    "subring_image_plus": lambda hom, ideal: image_plus_J(hom, ideal)[0],
+    "amalgamation": amalgamation, "duplication": duplication,
+    "table": _table,
+    "ideal": lambda ring, rows: ideal_span(ring, [ring.element(r)
+                                                  for r in rows]),
+    "hom": RingHom, "module": ModuleSpec,
+    "submod": lambda ring, p, rows: submodule_span(
+        ring, p, [vector_from_coords(ring, p, r) for r in rows]),
+}
 
 
 class Builder:
@@ -109,7 +113,7 @@ class Builder:
 
     def __init__(self, budget):
         self.env = {}
-        self.budget = budget
+        self.max_order = budget
         self._memo = {}
 
     def eval_expr(self, expr):
@@ -133,112 +137,13 @@ class Builder:
         raise BuildError(f"cannot evaluate {expr!r}")
 
     def construct(self, name, args):
+        """CONSTRUCTORS[name] on args coerced by their kinds; the only
+        option a constructor kind reads, --max-order, is the builder's."""
         try:
-            return getattr(self, f"_build_{name}")(args)
-        except BuildError:
-            raise
+            return CONSTRUCTORS[name](
+                *_coerce_all(dsl.CONSTRUCTORS[name], args, self))
         except Exception as exc:
             raise BuildError(str(exc)) from exc
-
-    def _build_zmod(self, args):
-        return zmod(_as_int(args[0], "modulus"))
-
-    def _build_trunc_poly(self, args):
-        return trunc_poly(_as_int(args[0], "modulus"),
-                          _as_int(args[1], "degree"))
-
-    def _build_product(self, args):
-        return product(_as_ring(args[0], "left factor"),
-                       _as_ring(args[1], "right factor"))
-
-    def _build_quotient(self, args):
-        ring = _as_ring(args[0], "ring")
-        ideal = args[1]
-        if not isinstance(ideal, Ideal):
-            raise BuildError("second argument of quotient must be an ideal")
-        quo, _pi = spectrum.quotient_ring(ring, ideal)
-        return quo
-
-    def _build_trivial_ext(self, args):
-        ring = _as_ring(args[0], "ring")
-        spec = args[1]
-        if not isinstance(spec, ModuleSpec):
-            raise BuildError("second argument of trivial_ext must be a module")
-        return trivial_extension(ring, spec)
-
-    def _build_subring_image_plus(self, args):
-        hom, ideal = args
-        if not isinstance(hom, RingHom) or not isinstance(ideal, Ideal):
-            raise BuildError("subring_image_plus takes a hom and an ideal")
-        sub, _incl = image_plus_J(hom, ideal)
-        return sub
-
-    def _build_amalgamation(self, args):
-        a = _as_ring(args[0], "A")
-        b = _as_ring(args[1], "B")
-        hom, ideal = args[2], args[3]
-        if not isinstance(hom, RingHom) or not isinstance(ideal, Ideal):
-            raise BuildError("amalgamation takes (A, B, hom, ideal)")
-        return amalgamation(a, b, hom, ideal, budget=self.budget)
-
-    def _build_duplication(self, args):
-        a = _as_ring(args[0], "A")
-        ideal = args[1]
-        if not isinstance(ideal, Ideal):
-            raise BuildError("duplication takes (A, ideal)")
-        return duplication(a, ideal, budget=self.budget)
-
-    def _build_table(self, args):
-        char = _as_int(args[0], "characteristic")
-        orders = _as_int_list(args[1], "orders")
-        unit = _as_int_list(args[2], "unit")
-        tensor_flat = _as_matrix(args[3], "tensor")
-        d = len(orders)
-        if len(tensor_flat) != d * d:
-            raise BuildError(f"tensor must list {d * d} coordinate vectors")
-        tensor = [[tuple(tensor_flat[i * d + j]) for j in range(d)]
-                  for i in range(d)]
-        ring = FiniteRing(char, tuple(orders), tensor, tuple(unit))
-        rep = verify_ring(ring)
-        if not rep.ok:
-            raise BuildError(f"structure constants are not a ring: {rep.failures[0]}")
-        return ring
-
-    def _build_ideal(self, args):
-        ring = _as_ring(args[0], "ring")
-        gens_mat = _as_matrix(args[1], "generators")
-        elems = []
-        for row in gens_mat:
-            if len(row) != ring.rank:
-                raise BuildError(
-                    f"ideal generator needs {ring.rank} coordinates")
-            elems.append(ring.element(tuple(row)))
-        return ideal_span(ring, elems)
-
-    def _build_hom(self, args):
-        src = _as_ring(args[0], "source")
-        tgt = _as_ring(args[1], "target")
-        rows = _as_matrix(args[2], "matrix")
-        if len(rows) != src.rank:
-            raise BuildError(f"hom matrix needs {src.rank} rows")
-        return RingHom(src, tgt, [tuple(r) for r in rows])
-
-    def _build_module(self, args):
-        ring = _as_ring(args[0], "ring")
-        orders = _as_int_list(args[1], "orders")
-        matrices = [_as_matrix(m, "action matrix") for m in args[2:]]
-        if len(matrices) != ring.rank:
-            raise BuildError(
-                f"module needs one action matrix per ring basis element "
-                f"({ring.rank})")
-        return ModuleSpec(ring, orders, matrices)
-
-    def _build_submod(self, args):
-        ring = _as_ring(args[0], "ring")
-        p = _as_int(args[1], "ambient rank")
-        gens_mat = _as_matrix(args[2], "generators")
-        gens = [vector_from_coords(ring, p, tuple(row)) for row in gens_mat]
-        return submodule_span(ring, p, gens)
 
 
 # -- job dispatch -----------------------------------------------------------------
@@ -266,54 +171,85 @@ def _job_values(builder, job, options):
     which skips the job; an argument of the wrong kind is an input error.
     """
     args = [builder.eval_expr(a) for a in job.args]
-    values = []
     try:
-        for kind in dsl.JOBS[job.name]:
-            values += _coerce(kind, args, values, options)
+        return _coerce_all(dsl.JOBS[job.name], args, options)
     except ValueError as exc:
         raise dsl.DslSemanticError(f"job {job.name!r}: {exc}",
                                    job.line) from None
+
+
+def _coerce_all(kinds, args, options):
+    """The values the kinds give for args, in order; a ValueError names
+    the argument at fault."""
+    total = len(args)
+    values = []
+    for kind in kinds:
+        try:
+            values += _coerce(kind, args, values, options)
+        except ValueError as exc:
+            raise ValueError(f"argument {total - len(args)}: {exc}") from None
     return values
 
 
+def _ints(value, depth):
+    """value, if it is an integer (depth 0), a flat integer list (depth 1)
+    or a list of integer lists (depth 2)."""
+    def fits(v, d):
+        return isinstance(v, int) if d == 0 else (
+            isinstance(v, list) and all(fits(x, d - 1) for x in v))
+    if not fits(value, depth):
+        raise ValueError("expected " + ("an integer", "a flat integer list",
+                                        "a list of integer lists")[depth])
+    return value
+
+
 def _coerce(kind, args, values, options):
-    """The check arguments one kind gives (see dsl.KIND_ARGS), taken off
-    the front of args; a ValueError says what is wrong with them."""
+    """The values one kind gives (see dsl.KIND_ARGS), taken off the front
+    of args; a ValueError says what is wrong with the last one taken."""
     if kind in ("seed", "budget"):
         return [options.seed if kind == "seed" else options.max_order]
     if kind in ("depth", "short_depth"):
-        depth = _as_int(args.pop(0), "depth") if args else (
-            options.depth if kind == "depth" else min(options.depth, 4))
+        if not args:
+            return [options.depth if kind == "depth" else min(options.depth, 4)]
+        depth = _ints(args.pop(0), 0)
         if depth < 0:
-            raise ValueError(f"depth must be non-negative, got {depth}")
+            raise ValueError(f"expected a non-negative depth, got {depth}")
         return [depth]
+    if kind == "matrices":
+        return [[_ints(args.pop(0), 2) for _ in range(len(args))]]
     value = args.pop(0)
-    if kind == "amalgam":
-        if not isinstance(value, AmalgamObjects):
-            raise ValueError("needs an amalgamation or duplication")
+    if kind in ("int", "ints", "matrix"):
+        return [_ints(value, ("int", "ints", "matrix").index(kind))]
+    if kind == "ring" and isinstance(value, AmalgamObjects):
+        return [value.ring]
+    objects = {"ring": (FiniteRing, "a ring"),
+               "amalgam": (AmalgamObjects, "an amalgamation or duplication"),
+               "ideal": (Ideal, "an ideal"), "hom": (RingHom, "a hom"),
+               "module": (ModuleSpec, "a module")}
+    if kind in objects:
+        if not isinstance(value, objects[kind][0]):
+            raise ValueError(f"expected {objects[kind][1]}")
         return [value]
-    if kind == "ring":
-        return [_as_ring(value, "the argument")]
     if kind == "count" or (kind == "draws_or_vectors"
                            and isinstance(value, int)):
-        if _as_int(value, "a count") < 1:
-            raise ValueError(f"a count must be at least 1, got {value}")
+        if _ints(value, 0) < 1:
+            raise ValueError(f"expected a count of at least 1, got {value}")
         if kind == "draws_or_vectors" and args:
             raise ValueError("a count of random vectors takes no k vectors")
         return [value] if kind == "count" else [value, None]
     am = values[0]
     if kind in ("a_element", "b_element"):
         ring = am.a if kind == "a_element" else am.b
-        return [ring.element(tuple(_as_int_list(value, "an element")))]
+        return [ring.element(_ints(value, 1))]
+    p = values[-1]
+    u = [vector_from_coords(am.a, p, r) for r in _ints(value, 2)]
     if not args:
         raise ValueError("u vectors need k vectors after them")
-    u_rows = _as_matrix(value, "u vectors")
-    k_rows = _as_matrix(args.pop(0), "k vectors")
-    if not u_rows or len(u_rows) != len(k_rows):
-        raise ValueError("needs as many k vectors as u vectors, at least one")
-    p = values[-1]
-    return [[vector_from_coords(am.a, p, tuple(r)) for r in u_rows],
-            [vector_from_coords(am.b, p, tuple(r)) for r in k_rows]]
+    k = [vector_from_coords(am.b, p, r) for r in _ints(args.pop(0), 2)]
+    if not u or len(u) != len(k):
+        raise ValueError("expected as many k vectors as u vectors, "
+                         "at least one")
+    return [u, k]
 
 
 # -- file execution ----------------------------------------------------------------
@@ -325,7 +261,6 @@ def run_file(text, options, job_filter=None):
     builder = Builder(options.max_order)
     records = []
     order = 0
-    poisoned = False
     for stmt in spec.statements:
         order += 1
         if isinstance(stmt, dsl.Decl):
@@ -340,7 +275,6 @@ def run_file(text, options, job_filter=None):
                     witnesses={"line": stmt.line}).to_dict()
                 rec["sort_key"] = (f"construct:{stmt.name}", order)
                 records.append(rec)
-                poisoned = True
             continue
         if job_filter is not None and stmt.name not in job_filter:
             continue
@@ -354,9 +288,8 @@ def run_file(text, options, job_filter=None):
                 witnesses={"line": stmt.line}).to_dict()
         rec["sort_key"] = (rec["name"], order)
         records.append(rec)
-    report = Report(input_digest(text), options.seed, records,
-                    with_timings=options.timings)
-    return report
+    return Report(input_digest(text), options.seed, records,
+                  with_timings=options.timings)
 
 
 # -- argparse ------------------------------------------------------------------------
@@ -411,6 +344,9 @@ def main(argv=None):
     if options.depth < 0:
         print(f"input error: --depth must be non-negative, got {options.depth}",
               file=sys.stderr)
+        return 2
+    if options.command == "verify" and options.job not in dsl.JOBS:
+        print(f"input error: unknown job {options.job!r}", file=sys.stderr)
         return 2
     try:
         with open(options.file, "r", encoding="utf-8") as fh:
@@ -491,7 +427,10 @@ def _run_spectrum(text, options):
     value = builder.env.get(options.ring)
     if value is None:
         raise dsl.DslSemanticError(f"unknown ring {options.ring!r}", 0)
-    ring = _as_ring(value, "ring")
+    try:
+        [ring] = _coerce("ring", [value], [], options)
+    except ValueError:
+        raise BuildError(f"{options.ring!r} is not a ring") from None
     claim = f"nilradical and maximal ideals of {options.ring}"
 
     def run():

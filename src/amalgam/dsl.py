@@ -14,16 +14,20 @@ pretty-prints the canonical form, so parse -> serialize -> parse is the
 identity on ASTs.
 """
 
-# The vocabulary.  CONSTRUCTORS maps a name to its (least, most) argument
-# count, most None for no upper bound; JOBS maps a job to the kinds of its
-# check's arguments.  The parser rejects a name missing here; the CLI
-# checks the counts once the whole file has parsed and coerces a job's
-# arguments by kind.
+# The vocabulary.  CONSTRUCTORS and JOBS map a name to the kinds of its
+# arguments; cli.CONSTRUCTORS and checks.JOBS say what each name does.
+# The parser rejects a name missing here; the CLI checks the argument
+# counts the kinds allow once the whole file has parsed, and coerces each
+# argument by its kind.
 CONSTRUCTORS = {
-    "zmod": (1, 1), "trunc_poly": (2, 2), "product": (2, 2),
-    "quotient": (2, 2), "trivial_ext": (2, 2), "subring_image_plus": (2, 2),
-    "amalgamation": (4, 4), "duplication": (2, 2), "table": (4, 4),
-    "ideal": (2, 2), "hom": (3, 3), "module": (2, None), "submod": (3, 3),
+    "zmod": ("int",), "trunc_poly": ("int", "int"),
+    "product": ("ring", "ring"), "quotient": ("ring", "ideal"),
+    "trivial_ext": ("ring", "module"), "subring_image_plus": ("hom", "ideal"),
+    "amalgamation": ("ring", "ring", "hom", "ideal", "budget"),
+    "duplication": ("ring", "ideal", "budget"),
+    "table": ("int", "ints", "ints", "matrix"),
+    "ideal": ("ring", "matrix"), "hom": ("ring", "ring", "matrix"),
+    "module": ("ring", "ints", "matrices"), "submod": ("ring", "count", "matrix"),
 }
 JOBS = {
     "hypotheses": ("amalgam",), "remark21": ("amalgam",),
@@ -36,16 +40,19 @@ JOBS = {
     "gldim": ("ring", "depth"), "pd_profile": ("ring", "depth", "budget"),
     "ringcheck": ("ring",),
 }
-# A kind takes one job argument: an "amalgam", a "ring" (or an
-# amalgamation's ring), a "count" >= 1, an "a_element" or "b_element" in
-# A's or B's coordinates; or the (least, most) given here.  "vectors" are
-# u vectors over A, then as many k vectors over B, each of p * rank
-# coordinates for p the count before; "draws_or_vectors" may be a count
-# of random ones instead.  "depth" (>= 0) defaults to --depth, and
-# "short_depth" to at most 4.  "seed" and "budget" are --seed, --max-order.
+# A kind takes one argument: an "int", a flat list of "ints", a "matrix"
+# (a list of integer lists), a "ring" (or an amalgamation's ring), an
+# "amalgam", "ideal", "hom" or "module", a "count" >= 1, an "a_element"
+# or "b_element" in A's or B's coordinates; or the (least, most) given
+# here, most None for no bound.  "matrices" are the remaining arguments,
+# each a matrix.  "vectors" are u vectors over A, then as many k vectors
+# over B, each of p * rank coordinates for p the count before;
+# "draws_or_vectors" may be a count of random ones instead.  "depth"
+# (>= 0) defaults to --depth, and "short_depth" to at most 4.  "seed" and
+# "budget" are --seed, --max-order.
 KIND_ARGS = {
-    "vectors": (2, 2), "draws_or_vectors": (1, 2), "depth": (0, 1),
-    "short_depth": (0, 1), "seed": (0, 0), "budget": (0, 0),
+    "matrices": (0, None), "vectors": (2, 2), "draws_or_vectors": (1, 2),
+    "depth": (0, 1), "short_depth": (0, 1), "seed": (0, 0), "budget": (0, 0),
 }
 
 

@@ -535,9 +535,6 @@ class Resolution:
     def __setattr__(self, *a):
         raise AttributeError("Resolution is immutable")
 
-    def betti_table(self):
-        return list(self.betti)
-
     def __repr__(self):
         kind, val = self.verdict
         v = f"pd={val}" if kind == "exact" else f"pd>={val}"

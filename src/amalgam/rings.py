@@ -67,10 +67,15 @@ class FiniteRing:
                 raise RingConstructionError(f"basis order {o} must divide {char}")
         if lcm(*orders) != char:
             raise RingConstructionError("characteristic must equal the additive exponent")
-        tensor = tuple(tuple(tuple(c % orders[k] for k, c in enumerate(vec))
+        if len(tensor) != d or any(len(row) != d or any(len(vec) != d
+                                                        for vec in row)
+                                   for row in tensor):
+            raise RingConstructionError(
+                f"tensor must be {d} x {d} vectors of {d} coordinates")
+        if len(unit) != d:
+            raise RingConstructionError(f"unit must have {d} coordinates")
+        tensor = tuple(tuple(tuple(c % o for c, o in zip(vec, orders))
                              for vec in row) for row in tensor)
-        if len(tensor) != d or any(len(row) != d for row in tensor):
-            raise RingConstructionError("tensor must be d x d coordinate vectors")
         unit = tuple(u % o for u, o in zip(unit, orders))
         if labels is None:
             labels = tuple(f"b{i}" for i in range(d))
@@ -274,10 +279,13 @@ class RingHom:
     __slots__ = ("source", "target", "matrix", "section", "_sparse")
 
     def __init__(self, source, target, matrix, section=None, check=True):
+        if (len(matrix) != source.rank
+                or any(len(row) != target.rank for row in matrix)):
+            raise HomomorphismError(
+                f"matrix must have {source.rank} rows of {target.rank} "
+                f"coordinates")
         matrix = tuple(tuple(c % o for c, o in zip(row, target.orders))
                        for row in matrix)
-        if len(matrix) != source.rank:
-            raise HomomorphismError("matrix must have one row per source basis element")
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "matrix", matrix)
@@ -450,10 +458,13 @@ class ModuleSpec:
             if o < 2 or ring.char % o:
                 raise RingConstructionError(
                     f"module order {o} must divide the characteristic {ring.char}")
-        actions = tuple(tuple(tuple(c % orders[t] for t, c in enumerate(row))
+        if len(actions) != ring.rank or any(
+                len(m) != k or any(len(row) != k for row in m) for m in actions):
+            raise RingConstructionError(
+                f"need one {k} x {k} action matrix per ring basis element "
+                f"({ring.rank})")
+        actions = tuple(tuple(tuple(c % o for c, o in zip(row, orders))
                               for row in mat) for mat in actions)
-        if len(actions) != ring.rank or any(len(m) != k for m in actions):
-            raise RingConstructionError("need one k x k action matrix per ring basis element")
         self.ring = ring
         self.orders = orders
         self.actions = actions

@@ -1,6 +1,7 @@
 """Parser, serializer, CLI exit codes, report determinism and schema."""
 
 import hashlib
+import inspect
 import json
 import os
 import subprocess
@@ -478,3 +479,96 @@ def test_malformed_job_arguments_are_input_errors(capsys, tmp_path, job):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.startswith("input error: line 4, col ")
+
+
+# one call per constructor with one argument of the wrong kind or shape,
+# after A = zmod(4) and I = ideal(A, [[2]])
+_BAD_CALLS = {
+    "zmod": "zmod([4])",
+    "trunc_poly": "trunc_poly(2, [3])",
+    "product": "product(A, I)",
+    "quotient": "quotient(A, A)",
+    "trivial_ext": "trivial_ext(A, I)",
+    "subring_image_plus": "subring_image_plus(A, I)",
+    "amalgamation": "amalgamation(A, A, I, I)",
+    "duplication": "duplication(A, [[2]])",
+    "table": "table(4, [4], [1], [[1], [0]])",
+    "ideal": "ideal(A, [[2, 0]])",
+    "hom": "hom(A, A, [[1], [0]])",
+    "module": "module(A, [2], [[1]], [[1]])",
+    "submod": "submod(A, 1, [[2, 0]])",
+}
+
+
+def _construct_record(capsys, tmp_path, text):
+    """The exit code and the construct:X record of checking text."""
+    path = tmp_path / "construct.ring"
+    path.write_text(text)
+    code = run_cli(["check", str(path), "--format", "json"])
+    out = capsys.readouterr()
+    assert out.err == ""
+    [record] = [c for c in json.loads(out.out)["checks"]
+                if c["name"] == "construct:X"]
+    return code, record
+
+
+@pytest.mark.parametrize("name", sorted(dsl.CONSTRUCTORS))
+def test_a_bad_constructor_argument_is_a_failed_construct_record(
+        capsys, tmp_path, name):
+    call = _BAD_CALLS[name]
+    assert call.startswith(name + "(")
+    code, record = _construct_record(
+        capsys, tmp_path, f"A = zmod(4)\nI = ideal(A, [[2]])\nX = {call}\n")
+    assert code == 1
+    assert record["status"] == "fail" and record["reason"]
+    assert record["witnesses"] == {"line": 3}
+
+
+def test_the_parser_and_the_builder_know_the_same_constructors():
+    assert set(dsl.CONSTRUCTORS) == set(cli.CONSTRUCTORS)
+    for name, kinds in dsl.CONSTRUCTORS.items():
+        # every constructor kind gives one value of the library call
+        inspect.signature(cli.CONSTRUCTORS[name]).bind(*kinds)
+
+
+@pytest.mark.parametrize("call, reason", [
+    ("hom(trunc_poly(2, 3), trunc_poly(2, 2), "
+     "[[1, 0, 1], [0, 1, 1], [0, 0, 1]])",
+     "matrix must have 3 rows of 2 coordinates"),
+    ("table(4, [4], [1, 3], [[1]])", "unit must have 1 coordinates"),
+    ("table(2, [2, 2], [1, 0], [[1], [0, 1], [0, 1], [0, 0]])",
+     "tensor must be 2 x 2 vectors of 2 coordinates"),
+    ("module(zmod(4), [2], [[1, 1]])",
+     "need one 1 x 1 action matrix per ring basis element (1)"),
+], ids=["hom-row", "table-unit", "table-tensor", "module-row"])
+def test_a_coordinate_row_of_the_wrong_length_fails_to_build(
+        capsys, tmp_path, call, reason):
+    code, record = _construct_record(capsys, tmp_path,
+                                     f"X = {call}\njob ringcheck(X)\n")
+    assert code == 1
+    assert (record["status"], record["reason"]) == ("fail", reason)
+
+
+def test_verify_of_an_unknown_job_is_an_input_error(capsys):
+    assert run_cli(["verify", corpus_path("duplication_z4.ring"),
+                    "--job", "dance"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "input error: unknown job 'dance'\n"
+
+
+def test_spectrum_of_a_non_ring_is_a_construction_failure(capsys, tmp_path):
+    path = tmp_path / "ideal_only.ring"
+    path.write_text("A = zmod(4)\nI = ideal(A, [[2]])\n")
+    assert run_cli(["spectrum", str(path), "--ring", "I"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "construction failed: 'I' is not a ring\n"
+
+
+def test_a_submodule_needs_an_ambient_rank_of_at_least_1(capsys, tmp_path):
+    code, record = _construct_record(capsys, tmp_path,
+                                     "A = zmod(4)\nX = submod(A, -1, [])\n")
+    assert code == 1
+    assert record["reason"] == (
+        "argument 2: expected a count of at least 1, got -1")
