@@ -15,7 +15,7 @@ and the subring f(A) + J of B.
 
 from .znlinalg import Solver, ZnMatrix, span_builder
 from .rings import (DEFAULT_MAX_ORDER, FiniteRing, RingConstructionError,
-                    RingElement, RingHom, derived_ring)
+                    RingElement, RingHom, derived_ring, product)
 from .abgroups import subgroup_decomposition
 from .modules import (TypeTable, _flat_scaled_coords, ideal_span,
                       select_generators)
@@ -152,22 +152,12 @@ class AmalgamObjects:
         self.mj = self.mj_of(self.a_max) if self.a_local else None
         self.subring, self.subring_incl = image_plus_J(hom, ideal_j)
         self._j_subring_generators = None
-        self._ring_local = None
-        self._subring_local = None
         self._type_table = None
         self._hypotheses = None  # cached by checks.hypotheses_of
 
     def ring_local(self):
-        """(flag, maximal ideal) of the constructed ring, cached."""
-        if self._ring_local is None:
-            self._ring_local = spectrum.is_local(self.ring)
-        return self._ring_local
-
-    def subring_local(self):
-        """(flag, maximal ideal) of the subring f(A) + J, cached."""
-        if self._subring_local is None:
-            self._subring_local = spectrum.is_local(self.subring)
-        return self._subring_local
+        """(flag, maximal ideal) of the constructed ring."""
+        return spectrum.is_local(self.ring)
 
     def type_table(self):
         """The TypeTable that every resolution over the constructed ring
@@ -219,7 +209,7 @@ class AmalgamObjects:
         """Generators of J over f(A) + J (modules.select_generators), as
         elements of B, cached."""
         if self._j_subring_generators is None:
-            local, m_c = self.subring_local()
+            local, m_c = spectrum.is_local(self.subring)
             j_in_c = ideal_in_subring(self.subring_incl, self.j_group_basis)
             gens = select_generators(j_in_c, local, m_c)
             self._j_subring_generators = [self.subring_incl(g) for (g,) in gens]
@@ -268,7 +258,6 @@ def duplication(ring_a, ideal_a, budget=DEFAULT_MAX_ORDER):
 
 def ring_power(r, n):
     """The n-fold product ring; coordinates are slot-major."""
-    from .rings import product
     out = r
     for _ in range(n - 1):
         out = product(out, r)

@@ -17,9 +17,11 @@ recorded in the result.
 
 import random
 
-from .rings import DEFAULT_MAX_ORDER, verify_ring
-from .modules import (CokernelSpec, TypeTable, ideal_span, ideal_sum,
-                      is_projective, minimal_generators, minimal_resolution,
+from .znlinalg import span_builder
+from .rings import DEFAULT_MAX_ORDER, HomomorphismError, RingHom, verify_ring
+from .modules import (CokernelSpec, TypeTable, global_dimension_signature,
+                      ideal_span, ideal_sum, is_projective,
+                      minimal_generators, minimal_resolution,
                       select_generators, submodule_span, syzygy)
 from . import spectrum
 from .amalgam import (AmalgamObjects, hom_power, ideal_in_subring,
@@ -62,6 +64,9 @@ CLAIMS = {
     "gldim": ("the residue field's resolution terminates exactly for fields "
               "and resists to the cut-off otherwise"),
     "ringcheck": "structure constants satisfy the ring axioms",
+    "resolve": ("the minimal resolution of the ideal or submodule over its "
+                "local ring validates to the cut-off"),
+    "spectrum": "the nilradical and the maximal ideals of the ring",
 }
 
 
@@ -186,7 +191,7 @@ def check_hypotheses(ring_a, ring_b, hom, ideal_j, budget=DEFAULT_MAX_ORDER,
             count = len(select_generators(ideal_in_subring(incl, j_rows),
                                           subring_local, m_c))
         else:
-            subring_local, _ = bundle.subring_local()
+            subring_local, _ = spectrum.is_local(bundle.subring)
             count = len(bundle.j_subring_generators())
         if not subring_local:
             witnesses["j_count_is_upper_bound"] = True
@@ -218,6 +223,8 @@ def _local_base_square_zero_j(am):
 # its record is skipped when the test fails.
 PRECONDITIONS = {
     "local": (lambda ring: spectrum.is_local(ring)[0], "ring is not local"),
+    "over_local_ring": (lambda module: spectrum.is_local(module.ring)[0],
+                        "ring is not local"),
     "hypotheses": (lambda am: hypotheses_of(am)[0].core_ok(),
                    "hypothesis set not met"),
     "hypotheses_and_j": (
@@ -266,13 +273,11 @@ def power_iso(am, n, seed=0, budget=DEFAULT_MAX_ORDER):
             j_slot = power_slot_element(b_n, am.b, n, slot,
                                         am.j_group_basis[l])
             rows.append(target.embed(a_n.zero(), j_slot).coords)
-    from .rings import RingHom, HomomorphismError
     try:
         phi = RingHom(r_n, s, rows)
     except HomomorphismError as exc:
         return record("power_iso", False, str(exc))
     # bijective: orders agree and the additive image has full size
-    from .znlinalg import span_builder
     image = span_builder(s.char, s.rank)
     for i in range(r_n.rank):
         image.insert(list(s.scaled(phi.apply_coords(
@@ -616,8 +621,7 @@ def pd_profile(ring, depth=8, budget=DEFAULT_MAX_ORDER):
     else:
         return skipped("pd_profile", "ring exceeds the enumeration budget")
     whole = submodule_span(ring, 1, [(ring.one(),)])
-    # a local finite ring's maximal ideal is its nilradical
-    mx = spectrum.nilradical(ring)
+    _, mx = spectrum.is_local(ring)
     table = TypeTable(ring, mx)
     rows = []
     max_finite = 0
@@ -644,15 +648,37 @@ def pd_profile(ring, depth=8, budget=DEFAULT_MAX_ORDER):
 def gldim_signature(ring, depth=8):
     """Global-dimension signature of a local ring: pd verdict of the
     residue field."""
-    from .modules import global_dimension_signature
-    # a local finite ring's maximal ideal is its nilradical
-    res = global_dimension_signature(ring, spectrum.nilradical(ring), depth)
+    _, mx = spectrum.is_local(ring)
+    res = global_dimension_signature(ring, mx, depth)
     kind, value = res.verdict
     issues = res.validate()
     witnesses = {"betti": list(res.betti), "verdict": f"{kind}:{value}",
                  "periodic": res.periodic, "resolution_issues": issues,
                  "depth": depth}
     return record("gldim", not issues, "resolution invalid", witnesses)
+
+
+def resolve(module, depth=8):
+    """Minimal resolution of an ideal or submodule over a local ring."""
+    _, mx = spectrum.is_local(module.ring)
+    res = minimal_resolution(module.ring, module, mx, depth)
+    kind, value = res.verdict
+    issues = res.validate()
+    witnesses = {"betti": list(res.betti), "verdict": f"{kind}:{value}",
+                 "periodic": res.periodic, "resolution_issues": issues}
+    return record("resolve", not issues, "resolution invalid", witnesses)
+
+
+def ring_spectrum(ring, budget=DEFAULT_MAX_ORDER):
+    """The nilradical and the maximal ideals of a ring."""
+    mx = spectrum.maximal_ideals(ring, budget)
+    return record("spectrum", True, None, {
+        "order": ring.order(),
+        "nilradical_size": spectrum.nilradical(ring).size(),
+        "maximal_ideal_count": len(mx),
+        "maximal_ideal_sizes": [m.size() for m in mx],
+        "local": len(mx) == 1,
+    })
 
 
 def ringcheck(ring):
@@ -705,4 +731,6 @@ JOBS = {
     "gldim": ("local", gldim_signature),
     "pd_profile": ("local", pd_profile),
     "ringcheck": (None, ringcheck),
+    "resolve": ("over_local_ring", resolve),
+    "spectrum": (None, ring_spectrum),
 }

@@ -2,24 +2,28 @@
 
 Subcommands:
   check FILE                 run every job in the file
-  verify FILE --job NAME     run only the named job(s)
-  resolve FILE --module M    resolve a declared ideal/submodule
-  spectrum FILE --ring R     nilradical and maximal ideals of a ring
+  verify FILE --job NAME     run only the file's jobs of that name
+  resolve FILE --module M    run job resolve(M) in place of the file's jobs
+  spectrum FILE --ring R     run job spectrum(R) in place of the file's jobs
 
-Each constructor is declared once: the kinds of its arguments in
-dsl.CONSTRUCTORS, its library call in CONSTRUCTORS.  Each job is too: the
-kinds in dsl.JOBS, its precondition and check in checks.JOBS.  One
+Every subcommand builds every declaration and runs its jobs through
+run_file and run_job, so all four give the same records for the same
+mistakes.  Each constructor is declared once: the kinds of its arguments
+in dsl.CONSTRUCTORS, its library call in CONSTRUCTORS.  Each job is too:
+the kinds in dsl.JOBS, its precondition and check in checks.JOBS.  One
 routine, _coerce, turns an argument of either into a value by its kind;
 Builder.construct then calls the library, and run_job skips the job when
-its precondition fails and times its check.
+its precondition fails or it would enumerate past --max-order, and times
+its check.
 
 Exit codes: 0 all checks passed, 1 at least one failed record, 2 input
 error (syntax, unknown names, bad arity, a job argument of the wrong kind
-or shape, a count below 1, a negative depth, an unknown --job, a
-non-module given to resolve).  A declaration whose arguments have the
-wrong kind or shape, or that the library refuses, gives a failed
-construct:NAME record; a job whose precondition fails, or that names a
-declaration that failed to build, gives a skipped record.
+or shape, a count below 1, a negative depth, an unknown --job, a --module
+or --ring naming no declaration or one of the wrong kind).  A declaration
+whose arguments have the wrong kind or shape, or that the library
+refuses, gives a failed construct:NAME record; a job whose precondition
+fails, or that names a declaration that failed to build, gives a skipped
+record.
 """
 
 import argparse
@@ -30,8 +34,8 @@ import time
 from . import checks as checklib
 from . import dsl, spectrum
 from .amalgam import AmalgamObjects, amalgamation, duplication, image_plus_J
-from .modules import (Ideal, Submodule, ideal_span, minimal_resolution,
-                      submodule_span, vector_from_coords)
+from .modules import (Ideal, Submodule, ideal_span, submodule_span,
+                      vector_from_coords)
 from .report import Report, input_digest
 from .rings import (BudgetExceededError, FiniteRing, ModuleSpec, RingHom,
                     product, trivial_extension, trunc_poly, verify_ring, zmod)
@@ -39,6 +43,11 @@ from .rings import (BudgetExceededError, FiniteRing, ModuleSpec, RingHom,
 
 class BuildError(ValueError):
     """Construction-level failure; becomes a failed record, not a crash."""
+
+
+# The subcommands that run a job of their own name on the declaration an
+# option names, and that option.
+TARGETS = {"resolve": "module", "spectrum": "ring"}
 
 
 def check_arity(spec):
@@ -150,16 +159,19 @@ class Builder:
 
 def run_job(builder, job, options):
     """The record of one job: its check run on its arguments, coerced by
-    their kinds in dsl.JOBS, or skipped when its precondition fails; the
-    record carries the wall time of both."""
+    their kinds in dsl.JOBS, or skipped when its precondition fails or it
+    would enumerate past the budget; the record carries the wall time."""
     values = _job_values(builder, job, options)
     precondition, check = checklib.JOBS[job.name]
     holds, reason = checklib.PRECONDITIONS.get(precondition, (None, None))
     start = time.perf_counter()
-    if holds is None or holds(values[0]):
-        result = check(*values)
-    else:
-        result = checklib.skipped(job.name, reason)
+    try:
+        if holds is None or holds(values[0]):
+            result = check(*values)
+        else:
+            result = checklib.skipped(job.name, reason)
+    except BudgetExceededError as exc:
+        result = checklib.skipped(job.name, str(exc))
     result.wall_ms = int((time.perf_counter() - start) * 1000)
     return result
 
@@ -174,8 +186,12 @@ def _job_values(builder, job, options):
     try:
         return _coerce_all(dsl.JOBS[job.name], args, options)
     except ValueError as exc:
-        raise dsl.DslSemanticError(f"job {job.name!r}: {exc}",
-                                   job.line) from None
+        message = f"job {job.name!r}: {exc}"
+    if options.command not in TARGETS:
+        raise dsl.DslSemanticError(message, job.line)
+    # resolve's or spectrum's job stands on no line of the file
+    raise dsl.DslSemanticError(
+        f"--{TARGETS[options.command]} {options.target!r}: {message}")
 
 
 def _coerce_all(kinds, args, options):
@@ -224,8 +240,9 @@ def _coerce(kind, args, values, options):
         return [value.ring]
     objects = {"ring": (FiniteRing, "a ring"),
                "amalgam": (AmalgamObjects, "an amalgamation or duplication"),
-               "ideal": (Ideal, "an ideal"), "hom": (RingHom, "a hom"),
-               "module": (ModuleSpec, "a module")}
+               "ideal": (Ideal, "an ideal"),
+               "submodule": (Submodule, "an ideal or submodule"),
+               "hom": (RingHom, "a hom"), "module": (ModuleSpec, "a module")}
     if kind in objects:
         if not isinstance(value, objects[kind][0]):
             raise ValueError(f"expected {objects[kind][1]}")
@@ -254,15 +271,19 @@ def _coerce(kind, args, values, options):
 
 # -- file execution ----------------------------------------------------------------
 
-def run_file(text, options, job_filter=None):
-    """Build all declarations, run jobs, return a Report."""
+def run_file(text, options):
+    """Build every declaration and run the subcommand's jobs: every job of
+    the file (check), those --job names (verify), or, in place of the
+    file's jobs, its own job on the declaration --module or --ring names
+    (resolve, spectrum); return the Report."""
     spec = dsl.parse(text)
     check_arity(spec)
+    statements = spec.statements
+    if options.command in TARGETS:
+        statements = spec.decls() + [_target_job(spec, options)]
     builder = Builder(options.max_order)
     records = []
-    order = 0
-    for stmt in spec.statements:
-        order += 1
+    for order, stmt in enumerate(statements, 1):
         if isinstance(stmt, dsl.Decl):
             try:
                 builder.env[stmt.name] = builder.eval_expr(stmt.expr)
@@ -276,12 +297,11 @@ def run_file(text, options, job_filter=None):
                 rec["sort_key"] = (f"construct:{stmt.name}", order)
                 records.append(rec)
             continue
-        if job_filter is not None and stmt.name not in job_filter:
+        if options.command == "verify" and stmt.name != options.job:
             continue
         try:
-            result = run_job(builder, stmt, options)
-            rec = result.to_dict()
-        except (BuildError, BudgetExceededError) as exc:
+            rec = run_job(builder, stmt, options).to_dict()
+        except BuildError as exc:
             rec = checklib.CheckResult(
                 stmt.name, "job executes on well-built objects",
                 "skipped", reason=str(exc),
@@ -290,6 +310,17 @@ def run_file(text, options, job_filter=None):
         records.append(rec)
     return Report(input_digest(text), options.seed, records,
                   with_timings=options.timings)
+
+
+def _target_job(spec, options):
+    """Job resolve(M) or spectrum(R) for the declaration --module or
+    --ring names, at the line of that declaration."""
+    for decl in spec.decls():
+        if decl.name == options.target:
+            return dsl.Job(options.command, [dsl.Ref(decl.name)], decl.line)
+    raise dsl.DslSemanticError(
+        f"--{TARGETS[options.command]} {options.target!r}: "
+        "no declaration of that name")
 
 
 # -- argparse ------------------------------------------------------------------------
@@ -313,15 +344,15 @@ def build_argparser():
     sub = ap.add_subparsers(dest="command", required=True)
     p_check = sub.add_parser("check", help="run every job in the file")
     _common(p_check)
-    p_verify = sub.add_parser("verify", help="run a single named job")
+    p_verify = sub.add_parser("verify", help="run the file's jobs of one name")
     _common(p_verify)
     p_verify.add_argument("--job", required=True)
-    p_resolve = sub.add_parser("resolve", help="resolve a declared module")
-    _common(p_resolve)
-    p_resolve.add_argument("--module", required=True)
-    p_spectrum = sub.add_parser("spectrum", help="spectrum of a declared ring")
-    _common(p_spectrum)
-    p_spectrum.add_argument("--ring", required=True)
+    for command, option in TARGETS.items():
+        p_target = sub.add_parser(
+            command, help=f"run job {command}(NAME) in place of the file's")
+        _common(p_target)
+        p_target.add_argument(f"--{option}", required=True, dest="target",
+                              metavar="NAME")
     return ap
 
 
@@ -330,13 +361,6 @@ def _argparser():
     """build_argparser(), built once per process: parse_args leaves the
     parser unchanged, and main runs once per input file."""
     return build_argparser()
-
-
-def _emit(report, options):
-    if options.format == "json":
-        sys.stdout.write(report.to_json())
-    else:
-        sys.stdout.write(report.to_text())
 
 
 def main(argv=None):
@@ -355,97 +379,13 @@ def main(argv=None):
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     try:
-        if options.command == "check":
-            report = run_file(text, options)
-        elif options.command == "verify":
-            report = run_file(text, options, job_filter={options.job})
-        elif options.command == "resolve":
-            report = _run_resolve(text, options)
-        else:
-            report = _run_spectrum(text, options)
+        report = run_file(text, options)
     except (dsl.DslSyntaxError, dsl.DslSemanticError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except BuildError as exc:
-        print(f"construction failed: {exc}", file=sys.stderr)
-        return 1
-    _emit(report, options)
+    sys.stdout.write(report.to_json() if options.format == "json"
+                     else report.to_text())
     return report.exit_code()
-
-
-def _build_env(text, options):
-    spec = dsl.parse(text)
-    check_arity(spec)
-    builder = Builder(options.max_order)
-    for stmt in spec.decls():
-        builder.env[stmt.name] = builder.eval_expr(stmt.expr)
-    return builder
-
-
-def _single_record_report(text, options, name, claim, run):
-    """Report of the one record run() returns; a budget error skips it."""
-    try:
-        result = run()
-    except BudgetExceededError as exc:
-        result = checklib.CheckResult(name, claim, "skipped", reason=str(exc))
-    rec = result.to_dict()
-    rec["sort_key"] = (rec["name"], 0)
-    return Report(input_digest(text), options.seed, [rec],
-                  with_timings=options.timings)
-
-
-def _run_resolve(text, options):
-    builder = _build_env(text, options)
-    target = builder.env.get(options.module)
-    if target is None:
-        raise dsl.DslSemanticError(f"unknown module {options.module!r}", 0)
-    if not isinstance(target, Submodule):
-        raise dsl.DslSemanticError(
-            f"{options.module!r} is not an ideal or submodule", 0)
-    ring = target.ring
-    claim = f"minimal resolution of {options.module}"
-
-    def run():
-        local, mx = spectrum.is_local(ring)
-        if not local:
-            return checklib.CheckResult(
-                "resolve", "minimal resolutions need a local ring", "fail",
-                reason="ring is not local")
-        res = minimal_resolution(ring, target, mx, depth=options.depth)
-        kind, value = res.verdict
-        return checklib.CheckResult(
-            "resolve", claim, "pass",
-            witnesses={"betti": list(res.betti),
-                       "verdict": f"{kind}:{value}",
-                       "periodic": res.periodic,
-                       "resolution_issues": res.validate()})
-    return _single_record_report(text, options, "resolve", claim, run)
-
-
-def _run_spectrum(text, options):
-    builder = _build_env(text, options)
-    value = builder.env.get(options.ring)
-    if value is None:
-        raise dsl.DslSemanticError(f"unknown ring {options.ring!r}", 0)
-    try:
-        [ring] = _coerce("ring", [value], [], options)
-    except ValueError:
-        raise BuildError(f"{options.ring!r} is not a ring") from None
-    claim = f"nilradical and maximal ideals of {options.ring}"
-
-    def run():
-        nil = spectrum.nilradical(ring)
-        mx = spectrum.maximal_ideals(ring, options.max_order)
-        return checklib.CheckResult(
-            "spectrum", claim, "pass",
-            witnesses={
-                "order": ring.order(),
-                "nilradical_size": nil.size(),
-                "maximal_ideal_count": len(mx),
-                "maximal_ideal_sizes": [m.size() for m in mx],
-                "local": len(mx) == 1,
-            })
-    return _single_record_report(text, options, "spectrum", claim, run)
 
 
 if __name__ == "__main__":

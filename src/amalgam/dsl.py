@@ -38,18 +38,19 @@ JOBS = {
     "thm31": ("amalgam", "b_element", "depth"),
     "thm34": ("amalgam", "a_element", "depth"),
     "gldim": ("ring", "depth"), "pd_profile": ("ring", "depth", "budget"),
-    "ringcheck": ("ring",),
+    "ringcheck": ("ring",), "resolve": ("submodule", "depth"),
+    "spectrum": ("ring", "budget"),
 }
 # A kind takes one argument: an "int", a flat list of "ints", a "matrix"
 # (a list of integer lists), a "ring" (or an amalgamation's ring), an
-# "amalgam", "ideal", "hom" or "module", a "count" >= 1, an "a_element"
-# or "b_element" in A's or B's coordinates; or the (least, most) given
-# here, most None for no bound.  "matrices" are the remaining arguments,
-# each a matrix.  "vectors" are u vectors over A, then as many k vectors
-# over B, each of p * rank coordinates for p the count before;
-# "draws_or_vectors" may be a count of random ones instead.  "depth"
-# (>= 0) defaults to --depth, and "short_depth" to at most 4.  "seed" and
-# "budget" are --seed, --max-order.
+# "amalgam", "ideal", "submodule" (or ideal), "hom" or "module", a
+# "count" >= 1, an "a_element" or "b_element" in A's or B's coordinates;
+# or the (least, most) given here, most None for no bound.  "matrices"
+# are the remaining arguments, each a matrix.  "vectors" are u vectors
+# over A, then as many k vectors over B, each of p * rank coordinates for
+# p the count before; "draws_or_vectors" may be a count of random ones
+# instead.  "depth" (>= 0) defaults to --depth, and "short_depth" to at
+# most 4.  "seed" and "budget" are --seed, --max-order.
 KIND_ARGS = {
     "matrices": (0, None), "vectors": (2, 2), "draws_or_vectors": (1, 2),
     "depth": (0, 1), "short_depth": (0, 1), "seed": (0, 0), "budget": (0, 0),
@@ -64,8 +65,12 @@ class DslSyntaxError(ValueError):
 
 
 class DslSemanticError(ValueError):
-    def __init__(self, message, line, col=1):
-        super().__init__(f"line {line}, col {col}: {message}")
+    """line None for an error in a command-line option, which has no
+    position in the file."""
+
+    def __init__(self, message, line=None, col=1):
+        super().__init__(message if line is None
+                         else f"line {line}, col {col}: {message}")
         self.line = line
         self.col = col
 

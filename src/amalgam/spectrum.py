@@ -249,25 +249,32 @@ def maximal_ideals(r, budget=DEFAULT_MAX_ORDER):
 def is_local(r):
     """(flag, maximal ideal or None), without enumerating anything.
 
-    A characteristic with two prime factors yields a nontrivial CRT
+    A local ring's maximal ideal is Nil(R).  The flag is cached on the
+    ring, as the nilradical's basis is (a flag holds no reference to it).
+    """
+    local = r._cache.get("local")
+    if local is None:
+        local = r._cache["local"] = _is_local(r)
+    return (True, nilradical(r)) if local else (False, None)
+
+
+def _is_local(r):
+    """A characteristic with two prime factors yields a nontrivial CRT
     idempotent, so such a ring is not local.  For characteristic p^k,
     with N the rows of Nil(R) mod p and R/pR = F_p^d, the Frobenius-fixed
     part of R/Nil(R) has dimension d - rank [N ; b_i^p - b_i mod p] (see
-    the module docstring); R is local iff it is 1, with Nil(R) as its
-    maximal ideal.
+    the module docstring); R is local iff it is 1.
     """
     factors = prime_factors(r.char)
     if len(factors) > 1:
-        return False, None
+        return False
     (p,) = factors
     d = r.rank
     nil = nilradical(r)
     rows = [[c % p for c in r.unscaled(row)] for row in nil.basis.rows]
     for i, img in enumerate(_frobenius(r, p)):
         rows.append([(c - (k == i)) % p for k, c in enumerate(img)])
-    if d - len(howell_from_rows(p, rows, d).rows) != 1:
-        return False, None
-    return True, nil
+    return d - len(howell_from_rows(p, rows, d).rows) == 1
 
 
 def residue_field(r):

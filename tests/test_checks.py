@@ -467,13 +467,14 @@ def test_thm34_cascade_decides_the_subring_locality_once(monkeypatch):
 
     am = standard_instances()["trunc_t3"]
     calls = []
-    real = spectrum.is_local
+    real = spectrum._is_local
 
-    def counting(ring, *args):
+    def counting(ring):
         calls.append(ring)
-        return real(ring, *args)
+        return real(ring)
 
-    monkeypatch.setattr(spectrum, "is_local", counting)
+    # the Frobenius rank runs once per ring; is_local caches its flag
+    monkeypatch.setattr(spectrum, "_is_local", counting)
     m = am.a.element((0, 1, 0))
     for _ in range(2):
         result = verify_thm_3_4_bookkeeping(am, m, levels=3)
@@ -486,11 +487,11 @@ def test_hypotheses_of_uses_the_bundles_own_subring(monkeypatch):
     from amalgam import checks, spectrum
 
     calls = []
-    real = spectrum.is_local
+    real = spectrum._is_local
 
-    def counting(ring, *args):
+    def counting(ring):
         calls.append(ring)
-        return real(ring, *args)
+        return real(ring)
 
     def no_rebuild(*args):
         raise AssertionError("f(A) + J or J inside it rebuilt")
@@ -500,7 +501,7 @@ def test_hypotheses_of_uses_the_bundles_own_subring(monkeypatch):
         expected = check_hypotheses(am.a, am.b, am.f, am.j, am.budget)
         monkeypatch.setattr(checks, "image_plus_J", no_rebuild)
         monkeypatch.setattr(checks, "ideal_in_subring", no_rebuild)
-        monkeypatch.setattr(spectrum, "is_local", counting)
+        monkeypatch.setattr(spectrum, "_is_local", counting)
         report, result = hypotheses_of(am)
         # the subring's locality is decided once per bundle, shared with
         # the thm34 cascade
@@ -530,6 +531,7 @@ def _zero_j():
 # an instance failing each precondition, and only that one where it can
 FAILS = {
     "local": lambda: zmod(6),
+    "over_local_ring": lambda: ideal_span(zmod(6), []),
     "hypotheses": _outside_the_hypothesis_set,
     "hypotheses_and_j": _zero_j,
     "local_base_square_zero_j": _non_local_base,
@@ -540,7 +542,7 @@ def _arguments(name, subject):
     """Job arguments of the right kinds on subject, zero where they can be."""
     args = []
     for kind in dsl.JOBS[name]:
-        if kind in ("amalgam", "ring"):
+        if kind in ("amalgam", "ring", "submodule"):
             args.append(subject)
         elif kind in ("count", "draws_or_vectors", "depth", "short_depth"):
             args.append(1)

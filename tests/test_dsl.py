@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from amalgam import cli, dsl, spectrum
+from amalgam import checks, cli, dsl, spectrum
 from amalgam.dsl import DslSemanticError, DslSyntaxError, parse, serialize
 from amalgam.report import Report, input_digest
 from amalgam.rings import BudgetExceededError, trunc_poly, verify_ring, zmod
@@ -218,12 +218,21 @@ def test_input_error_messages_and_positions(capsys, tmp_path, text, message):
 
 
 def test_resolve_of_a_ring_is_an_input_error(capsys, tmp_path):
+    # the diagnostic names the option and the declaration; neither has a
+    # position in the file
     path = tmp_path / "ring_only.ring"
     path.write_text("A = zmod(4)\n")
-    assert run_cli(["resolve", str(path), "--module", "A"]) == 2
-    out = capsys.readouterr()
-    assert out.out == ""
-    assert "input error" in out.err and "'A'" in out.err
+    for args, message in [
+        (["resolve", "--module", "A"], "--module 'A': job 'resolve': "
+         "argument 1: expected an ideal or submodule"),
+        (["resolve", "--module", "Z"],
+         "--module 'Z': no declaration of that name"),
+        (["spectrum", "--ring", "Z"], "--ring 'Z': no declaration of that name"),
+    ]:
+        assert run_cli([args[0], str(path)] + args[1:]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"input error: {message}\n"
 
 
 def test_budget_error_in_a_job_is_a_skipped_record(capsys, tmp_path,
@@ -281,24 +290,56 @@ def test_gldim_of_a_ring_past_the_budget_needs_no_enumeration(capsys,
 _TWO_FIELDS = "A = product(zmod(2), zmod(2))\nI = ideal(A, [[1, 0]])\n"
 
 
-# locality enumerates nothing, so resolve finds F_2 x F_2 not local under
-# any budget; listing its maximal ideals still enumerates it
-@pytest.mark.parametrize("args, name, status, reason", [
-    (["resolve", "--module", "I"], "resolve", "fail", "ring is not local"),
-    (["spectrum", "--ring", "A"], "spectrum", "skipped",
-     "exceeds the enumeration budget"),
+# locality enumerates nothing, so resolve's precondition finds F_2 x F_2
+# not local under any budget, as gldim's does; listing its maximal ideals
+# still enumerates it
+@pytest.mark.parametrize("args, reason", [
+    (["resolve", "--module", "I"], "ring is not local"),
+    (["spectrum", "--ring", "A"], "exceeds the enumeration budget"),
 ], ids=["resolve", "spectrum"])
 def test_budget_error_in_resolve_and_spectrum_is_a_skipped_record(
-        capsys, tmp_path, args, name, status, reason):
+        capsys, tmp_path, args, reason):
     path = tmp_path / "two_fields.ring"
     path.write_text(_TWO_FIELDS)
     assert run_cli([args[0], str(path)] + args[1:] +
-                   ["--format", "json", "--max-order", "2"]) == (
-                       1 if status == "fail" else 0)
+                   ["--format", "json", "--max-order", "2"]) == 0
     payload = json.loads(capsys.readouterr().out)
     [record] = payload["checks"]
-    assert record["name"] == name and record["status"] == status
+    assert record["name"] == args[0] and record["status"] == "skipped"
     assert reason in record["reason"]
+    assert record["claim"] == checks.CLAIMS[args[0]]
+
+
+@pytest.mark.parametrize("command, args, job", [
+    ("resolve", ["--module", "I", "--depth", "5"], "resolve(I, 5)"),
+    ("spectrum", ["--ring", "A"], "spectrum(A)"),
+], ids=["resolve", "spectrum"])
+def test_a_job_in_the_file_gives_the_subcommands_report(
+        capsys, tmp_path, command, args, job):
+    # the subcommand runs its own job in place of the file's
+    path = tmp_path / "jobs.ring"
+    path.write_text(f"A = zmod(4)\nI = ideal(A, [[2]])\njob {job}\n")
+    assert run_cli(["check", str(path), "--format", "json"]) == 0
+    from_file = capsys.readouterr().out
+    [record] = json.loads(from_file)["checks"]
+    assert (record["name"], record["status"]) == (command, "pass")
+    assert run_cli([command, str(path), *args, "--format", "json"]) == 0
+    assert capsys.readouterr().out == from_file
+
+
+@pytest.mark.parametrize("args, status", [
+    (["resolve", "--module", "I"], "pass"),
+    (["spectrum", "--ring", "D"], "skipped"),
+], ids=["unrelated", "target"])
+def test_resolve_and_spectrum_report_a_declaration_that_fails_to_build(
+        capsys, tmp_path, args, status):
+    path = tmp_path / "failed.ring"
+    path.write_text("A = zmod(4)\nI = ideal(A, [[2]])\n"
+                    "D = duplication(A, ideal(A, [[1]]))\n")
+    assert run_cli([args[0], str(path)] + args[1:] + ["--format", "json"]) == 1
+    construct, record = json.loads(capsys.readouterr().out)["checks"]
+    assert (construct["name"], construct["status"]) == ("construct:D", "fail")
+    assert (record["name"], record["status"]) == (args[0], status)
 
 
 def test_text_summary_counts_skipped_records_apart(capsys, tmp_path):
@@ -433,6 +474,31 @@ def test_python_m_amalgam_runs_the_cli_from_a_checkout(capsys):
     assert proc.stdout == capsys.readouterr().out
 
 
+@pytest.mark.parametrize("args, wrong", [
+    (["verify", "--job", "remark21"], ["verify", "--job", "dance"]),
+    (["resolve", "--module", "I"], ["resolve", "--module", "A"]),
+    (["spectrum", "--ring", "D"], ["spectrum", "--ring", "I"]),
+], ids=["verify", "resolve", "spectrum"])
+def test_python_m_amalgam_runs_every_subcommand(capsys, args, wrong):
+    path = corpus_path("duplication_z4.ring")
+    env = dict(os.environ, PYTHONPATH=SRC)
+
+    def run(argv):
+        return subprocess.run(
+            [sys.executable, "-m", "amalgam", argv[0], path, *argv[1:],
+             "--format", "json"],
+            capture_output=True, text=True, env=env, timeout=120)
+
+    proc = run(args)
+    assert proc.returncode == 0, proc.stderr
+    assert run_cli([args[0], path, *args[1:], "--format", "json"]) == 0
+    assert proc.stdout == capsys.readouterr().out
+    proc = run(wrong)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("input error: ") and "line 0" not in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 # f(M)J holds x * x^2 != 0 here, so the hypothesis set fails and the
 # transfer identity's proof does not apply
 _OUTSIDE = ("A = trunc_poly(2, 4)\n"
@@ -557,13 +623,14 @@ def test_verify_of_an_unknown_job_is_an_input_error(capsys):
     assert out.err == "input error: unknown job 'dance'\n"
 
 
-def test_spectrum_of_a_non_ring_is_a_construction_failure(capsys, tmp_path):
+def test_spectrum_of_a_non_ring_is_an_input_error(capsys, tmp_path):
     path = tmp_path / "ideal_only.ring"
     path.write_text("A = zmod(4)\nI = ideal(A, [[2]])\n")
-    assert run_cli(["spectrum", str(path), "--ring", "I"]) == 1
+    assert run_cli(["spectrum", str(path), "--ring", "I"]) == 2
     out = capsys.readouterr()
     assert out.out == ""
-    assert out.err == "construction failed: 'I' is not a ring\n"
+    assert out.err == ("input error: --ring 'I': job 'spectrum': "
+                       "argument 1: expected a ring\n")
 
 
 def test_a_submodule_needs_an_ambient_rank_of_at_least_1(capsys, tmp_path):
