@@ -3,7 +3,7 @@
 `tests/golden/` holds the `ringdsl check --seed 0` stdout of each corpus
 file that produces a report, as `<name>.json` (`--format json`) and
 `<name>.txt` (`--format text`), plus every file's exit code.
-`tests/golden/seed7/` holds the same for `--seed 7`, for all six files
+`tests/golden/seed7/` holds the same for `--seed 7`, for every corpus file
 (an input error prints nothing to stdout); at that seed
 `kernel_transfer(AM, 1, 2)` in `idealization_tower.ring` draws a
 different random instance.  `tests/golden/commands/` holds the
