@@ -2,12 +2,17 @@
 
 Ring constructors (quotients, subrings, amalgamation carriers) need to turn
 "subgroup/quotient of a direct sum of cyclic groups" into a fresh basis with
-cyclic orders.  That is Smith-style diagonalization over Z on tiny dense
-matrices; only the column transform and its inverse are tracked, which is
-all the change-of-basis bookkeeping requires.
+cyclic orders.  A quotient is Smith-style diagonalization over Z on tiny
+dense matrices; only the column transform and its inverse are tracked,
+which is all the change-of-basis bookkeeping requires.  A subgroup with m
+generators is the quotient of Z^m by their relations, which one Howell
+factorization over Z/N yields, and an element is read by one solve
+against it.  Both give (orders, read, lifts), what rings.derived_ring takes.
 """
 
-from .znlinalg import _xgcd
+from math import lcm
+
+from .znlinalg import Solver, ZnMatrix, _xgcd
 
 
 def _swap_cols(a, t, tinv, i, j):
@@ -129,123 +134,68 @@ def quotient_decomposition(relation_rows, orders):
       new_orders -- cyclic orders (> 1) of the quotient's basis,
       project    -- function mapping an ambient coordinate vector to
                     quotient coordinates (reduced mod new_orders),
-      lift_rows  -- ambient coordinate vectors mapping onto the new basis.
+      lift_rows  -- reduced ambient coordinate vectors mapping onto the
+                    new basis.
     """
     d = len(orders)
     rows = [list(r) for r in relation_rows]
-    for i, o in enumerate(orders):
-        rel = [0] * d
-        rel[i] = o
-        rows.append(rel)
+    rows += [[o if k == i else 0 for k in range(d)]
+             for i, o in enumerate(orders)]
     diag, t, tinv = smith_diagonalize(rows, d)
     keep = [j for j in range(d) if diag[j] != 1]
-    for j in keep:
-        if diag[j] == 0:
-            raise ValueError("relation lattice is not of full rank")
     new_orders = [diag[j] for j in keep]
+    if 0 in new_orders:
+        raise ValueError("relation lattice is not of full rank")
+    # the image of ambient basis vector i: row i of t on the kept columns,
+    # as its nonzero (position, entry) pairs
+    images = [[(idx, row[j]) for idx, j in enumerate(keep) if row[j]]
+              for row in t]
 
     def project(vec):
-        out = []
-        for idx, j in enumerate(keep):
-            y = sum(vec[i] * t[i][j] for i in range(d))
-            out.append(y % new_orders[idx])
-        return tuple(out)
+        out = [0] * len(keep)
+        for c, image in zip(vec, images):
+            if c:
+                for idx, y in image:
+                    out[idx] += c * y
+        return tuple([y % o for y, o in zip(out, new_orders)])
 
-    lift_rows = [tuple(tinv[j]) for j in keep]
+    lift_rows = [tuple([c % o for c, o in zip(tinv[j], orders)])
+                 for j in keep]
     return new_orders, project, lift_rows
 
 
 def subgroup_decomposition(generator_rows, orders):
     """Decompose the subgroup generated by the given elements.
 
-    generator_rows are coordinate vectors in the ambient sum of Z/orders[i].
-    Returns (sub_orders, basis_rows) where basis_rows are ambient coordinate
-    vectors forming an independent cyclic basis of the subgroup (orders > 1,
-    in matching positions).
+    generator_rows are m coordinate vectors in the ambient sum of
+    Z/orders[i].  The subgroup is Z^m modulo the relations among them,
+    which are N * Z^m plus the left kernel over Z/N of the rows scaled
+    into (Z/N)^d, N the ambient exponent; quotient_decomposition splits
+    that quotient.  Returns (sub_orders, read, lift_rows) as it does:
+    read maps an ambient coordinate vector of the subgroup to coordinates
+    in the new basis and raises ValueError outside the subgroup, and
+    lift_rows are the new basis elements' ambient coordinates.
     """
-    d = len(orders)
-    lattice = [list(r) for r in generator_rows]
-    for i, o in enumerate(orders):
-        rel = [0] * d
-        rel[i] = o
-        lattice.append(rel)
-    basis = hermite_basis(lattice, d)
-    # coordinates of the ambient order relations in the lattice basis
-    x_rows = []
-    for i, o in enumerate(orders):
-        rel = [0] * d
-        rel[i] = o
-        x_rows.append(_solve_triangular(basis, rel))
-    diag, t, tinv = smith_diagonalize(x_rows, d)
-    sub_orders = []
-    basis_rows = []
-    for j in range(d):
-        if diag[j] == 0:
-            raise ValueError("order lattice not of full rank")
-        if diag[j] == 1:
-            continue
-        sub_orders.append(diag[j])
-        vec = [0] * d
-        for k in range(d):
-            c = tinv[j][k]
+    n = lcm(*orders)
+    scale = [n // o for o in orders]
+    gens = list(generator_rows)
+    solver = Solver(ZnMatrix.from_rows(
+        n, [[c * s % n for c, s in zip(g, scale)] for g in gens], len(orders)))
+    sub_orders, project, coeff_rows = quotient_decomposition(
+        solver.kernel.rows, [n] * len(gens))
+
+    def read(vec):
+        x = solver.solve([c * s for c, s in zip(vec, scale)])
+        if x is None:
+            raise ValueError(f"element {tuple(vec)} is not in the subgroup")
+        return project(x)
+
+    lift_rows = []
+    for coeffs in coeff_rows:
+        vec = [0] * len(orders)
+        for c, g in zip(coeffs, gens):
             if c:
-                for idx in range(d):
-                    vec[idx] += c * basis[k][idx]
-        basis_rows.append(tuple(v % o for v, o in zip(vec, orders)))
-    return sub_orders, basis_rows
-
-
-def hermite_basis(rows, ncols):
-    """Row-style Hermite basis of a full-rank integer lattice in Z^ncols.
-
-    Returns ncols rows with strictly increasing pivot columns (hence a
-    square triangular basis) and positive pivots.
-    """
-    work = [list(r) for r in rows if any(r)]
-    basis = {}
-    for v in work:
-        v = list(v)
-        j = 0
-        while j < ncols:
-            if v[j] == 0:
-                j += 1
-                continue
-            cur = basis.get(j)
-            if cur is None:
-                if v[j] < 0:
-                    v = [-x for x in v]
-                basis[j] = v
-                break
-            x, y = cur[j], v[j]
-            if y % x == 0:
-                q = y // x
-                v = [b - q * a for a, b in zip(cur, v)]
-            else:
-                g, s, u = _xgcd(x, y)
-                newpiv = [s * a + u * b for a, b in zip(cur, v)]
-                xg, yg = x // g, y // g
-                v = [xg * b - yg * a for a, b in zip(cur, v)]
-                basis[j] = newpiv
-            # loop continues; v[j] is now 0
-    if len(basis) != ncols:
-        raise ValueError("lattice is not of full rank")
-    return [basis[j] for j in sorted(basis)]
-
-
-def _solve_triangular(basis, target):
-    """Solve y . basis = target exactly for a triangular Hermite basis."""
-    d = len(basis)
-    t = list(target)
-    y = [0] * d
-    for j in range(d):
-        piv = basis[j][j]
-        if t[j] % piv:
-            raise ValueError("target not in lattice")
-        q = t[j] // piv
-        y[j] = q
-        if q:
-            for k in range(j, d):
-                t[k] -= q * basis[j][k]
-    if any(t):
-        raise ValueError("target not in lattice")
-    return y
+                for i, x in enumerate(g):
+                    vec[i] += c * x
+        lift_rows.append(tuple([v % o for v, o in zip(vec, orders)]))
+    return sub_orders, read, lift_rows

@@ -2,8 +2,10 @@
 
 The amalgamation of A with B along an ideal J of B via f : A -> B is the
 subring {(a, f(a) + j)} of A x B.  Additively it is A + J, so the carrier
-here uses coordinates (a-part in A's basis, j-part in a cyclic basis of J);
-multiplication follows from
+here uses coordinates (a-part in A's basis, j-part in a cyclic basis of J).
+That basis and the one of f(A) + J come from abgroups.subgroup_decomposition,
+with the map reading an element's coordinates in them; multiplication
+follows from
 
     (a, f(a)+j) * (a', f(a')+j') = (aa', f(aa') + f(a)j' + f(a')j + jj').
 
@@ -22,41 +24,6 @@ from .modules import (TypeTable, _flat_scaled_coords, ideal_span,
 from . import spectrum
 
 
-class _SubgroupCoords:
-    """Coordinate solver for a cyclic basis of an additive subgroup; the
-    basis matrix is factored once and each element costs one reduction."""
-
-    def __init__(self, ambient, basis_elems, orders):
-        self.ambient = ambient
-        self.basis_elems = list(basis_elems)
-        self.orders = list(orders)
-        rows = [list(ambient.scaled(e.coords)) for e in self.basis_elems]
-        self.solver = Solver(ZnMatrix.from_rows(ambient.char, rows,
-                                                ambient.rank))
-
-    def coords(self, target):
-        sol = self.solver.solve(self.ambient.scaled(target.coords))
-        if sol is None:
-            raise ValueError(f"element {target!r} is not in the subgroup")
-        return tuple(c % o for c, o in zip(sol, self.orders))
-
-    def element(self, coords):
-        acc = self.ambient.zero()
-        for c, e in zip(coords, self.basis_elems):
-            if c:
-                acc = acc + c * e
-        return acc
-
-
-def _ideal_group_basis(ideal):
-    """Cyclic decomposition of an ideal's additive group."""
-    ring = ideal.ring
-    rows = [list(ring.unscaled(row)) for row in ideal.basis.rows]
-    orders, basis_rows = subgroup_decomposition(rows, ring.orders)
-    elems = [ring.element(tuple(r)) for r in basis_rows]
-    return orders, elems
-
-
 def image_plus_J(f, j):
     """The subring f(A) + J of B, with its inclusion into B.
 
@@ -67,27 +34,29 @@ def image_plus_J(f, j):
     b = f.target
     if j.ring is not b:
         raise ValueError("ideal does not live in the hom's target")
-    gen_rows = [list(f.apply_coords(f.source.basis_element(i).coords))
+    gen_rows = [f.apply_coords(f.source.basis_element(i).coords)
                 for i in range(f.source.rank)]
-    gen_rows += [list(b.unscaled(row)) for row in j.basis.rows]
-    orders, basis_rows = subgroup_decomposition(gen_rows, b.orders)
+    gen_rows += [b.unscaled(row) for row in j.basis.rows]
+    orders, read, lifts = subgroup_decomposition(gen_rows, b.orders)
     if not orders:
         raise RingConstructionError("f(A) + J collapsed to the zero group")
-    basis_elems = [b.element(tuple(r)) for r in basis_rows]
-    coords = _SubgroupCoords(b, basis_elems, orders)
-    sub = derived_ring(b, orders, [e.coords for e in basis_elems],
-                       lambda x: coords.coords(RingElement(b, x)),
-                       "c", f"f({f.source.name})+J")
-    incl = RingHom(sub, b, [e.coords for e in basis_elems])
-    return sub, incl
+    sub = derived_ring(b, orders, lifts, read, "c", f"f({f.source.name})+J")
+    return sub, RingHom(sub, b, lifts)
 
 
 def ideal_in_subring(incl, elems):
-    """The ideal of incl's source generated by elements of its image."""
+    """The ideal of incl's source generated by elements of its image;
+    ValueError for an element outside the image."""
     sub, b = incl.source, incl.target
-    solver = _SubgroupCoords(b, [b.element(row) for row in incl.matrix],
-                             sub.orders)
-    return ideal_span(sub, [sub.element(solver.coords(e)) for e in elems])
+    solver = Solver(ZnMatrix.from_rows(
+        b.char, [b.scaled(row) for row in incl.matrix], b.rank))
+    gens = []
+    for e in elems:
+        x = solver.solve(b.scaled(e.coords))
+        if x is None:
+            raise ValueError(f"element {e!r} is not in the subring")
+        gens.append(sub.element(x))
+    return ideal_span(sub, gens)
 
 
 class AmalgamObjects:
@@ -106,30 +75,32 @@ class AmalgamObjects:
         self.j = ideal_j
         self.budget = budget
 
-        j_orders, j_elems = _ideal_group_basis(ideal_j)
+        j_orders, self._j_read, j_lifts = subgroup_decomposition(
+            [ring_b.unscaled(row) for row in ideal_j.basis.rows],
+            ring_b.orders)
         self.j_orders = tuple(j_orders)
-        self.j_group_basis = tuple(j_elems)
-        self._j_coords = _SubgroupCoords(ring_b, j_elems, j_orders)
+        self.j_group_basis = tuple(ring_b.element(x) for x in j_lifts)
 
+        # basis: A's, then J's; a product with a J factor lies in J
         da, k = ring_a.rank, len(j_orders)
         zero_a, zero_j = (0,) * da, (0,) * k
-        f_images = [ring_b.element(hom.apply_coords(ring_a.basis_element(i).coords))
+        f_images = [hom.apply_coords(ring_a.basis_element(i).coords)
                     for i in range(da)]
+        gens = f_images + j_lifts
+
+        def j_part(x, y):
+            return zero_a + self._j_read(ring_b.mul_coords(x, y))
+
         tensor = []
         for i in range(da + k):
             row = []
             for t in range(da + k):
                 if i < da and t < da:
                     row.append(tuple(ring_a.tensor[i][t]) + zero_j)
-                elif i < da and t >= da:
-                    prod = f_images[i] * j_elems[t - da]
-                    row.append(zero_a + self._j_coords.coords(prod))
-                elif i >= da and t < da:
-                    prod = f_images[t] * j_elems[i - da]
-                    row.append(zero_a + self._j_coords.coords(prod))
+                elif t < da:
+                    row.append(j_part(f_images[t], gens[i]))
                 else:
-                    prod = j_elems[i - da] * j_elems[t - da]
-                    row.append(zero_a + self._j_coords.coords(prod))
+                    row.append(j_part(gens[i], gens[t]))
             tensor.append(tuple(row))
         orders = ring_a.orders + self.j_orders
         unit = ring_a.unit + zero_j
@@ -145,8 +116,8 @@ class AmalgamObjects:
             [(0,) * da for _ in range(k)], check=False)
 
         # canonical ideals
-        self.zero_j = ideal_span(self.ring,
-                                 [self.embed(ring_a.zero(), e) for e in j_elems])
+        self.zero_j = ideal_span(
+            self.ring, [self.embed(ring_a.zero(), e) for e in self.j_group_basis])
         assert self.zero_j.size() == ideal_j.size()
         self.a_local, self.a_max = spectrum.is_local(ring_a)
         self.mj = self.mj_of(self.a_max) if self.a_local else None
@@ -176,7 +147,7 @@ class AmalgamObjects:
         if j_elem.ring is not self.b:
             raise ValueError("second component must be an element of B in J")
         return RingElement(self.ring,
-                           a_elem.coords + self._j_coords.coords(j_elem))
+                           a_elem.coords + self._j_read(j_elem.coords))
 
     def embed_vector(self, a_vec, j_vec=None):
         """Slotwise pair embedding of (u, f^p(u) + k) for vectors."""
@@ -188,7 +159,10 @@ class AmalgamObjects:
         """Inverse of embed: the (a, j) coordinates of a ring element."""
         da = self.a.rank
         a_elem = self.a.element(elem.coords[:da])
-        j_elem = self._j_coords.element(elem.coords[da:])
+        j_elem = self.b.zero()
+        for c, e in zip(elem.coords[da:], self.j_group_basis):
+            if c:
+                j_elem = j_elem + c * e
         return a_elem, j_elem
 
     def second_component(self, elem):

@@ -195,7 +195,7 @@ def check_hypotheses(ring_a, ring_b, hom, ideal_j, budget=DEFAULT_MAX_ORDER,
             count = len(bundle.j_subring_generators())
         if not subring_local:
             witnesses["j_count_is_upper_bound"] = True
-    except Exception as exc:  # construction-level failure becomes a witness
+    except ValueError as exc:  # construction-level failure becomes a witness
         witnesses["subring_error"] = str(exc)
     report = HypothesisReport(
         a_local=a_local, j_proper=j_proper, j_square_zero=j_square_zero,
@@ -549,7 +549,7 @@ def _block_generators(am, blocks):
     return gens, next_blocks
 
 
-def verify_thm_3_4_bookkeeping(am, m_elem, depth=DEFAULT_DEPTH, levels=3):
+def verify_thm_3_4_bookkeeping(am, m_elem, levels=3):
     """Kernel bookkeeping for K = R(m, f(m)) plus the three-step cascade."""
     if not am.a_max.contains_element(m_elem):
         return skipped("thm34", "m must lie in the maximal ideal of A")

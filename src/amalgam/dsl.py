@@ -8,10 +8,11 @@ Grammar (one declaration per line, `#` starts a comment):
     arg   := INT | NAME | call | list
     list  := "[" (arg ("," arg)*)? "]"
 
-Names must be declared before use (no forward references).  The parser
-produces a plain AST; evaluation lives in the CLI layer.  Serialization
-pretty-prints the canonical form, so parse -> serialize -> parse is the
-identity on ASTs.
+Brackets, round or square, nest at most MAX_NESTING (64) deep; a
+"matrices" argument needs 3.  Names must be declared before use (no
+forward references).  The parser produces a plain AST; evaluation lives
+in the CLI layer.  Serialization pretty-prints the canonical form, so
+parse -> serialize -> parse is the identity on ASTs.
 """
 
 # The vocabulary.  CONSTRUCTORS and JOBS map a name to the kinds of its
@@ -36,7 +37,7 @@ JOBS = {
     "power_iso": ("amalgam", "count", "seed", "budget"),
     "idempotent": ("amalgam",), "betti": ("amalgam", "depth"),
     "thm31": ("amalgam", "b_element", "depth"),
-    "thm34": ("amalgam", "a_element", "depth"),
+    "thm34": ("amalgam", "a_element"),
     "gldim": ("ring", "depth"), "pd_profile": ("ring", "depth", "budget"),
     "ringcheck": ("ring",), "resolve": ("submodule", "depth"),
     "spectrum": ("ring", "budget"),
@@ -55,6 +56,11 @@ KIND_ARGS = {
     "matrices": (0, None), "vectors": (2, 2), "draws_or_vectors": (1, 2),
     "depth": (0, 1), "short_depth": (0, 1), "seed": (0, 0), "budget": (0, 0),
 }
+
+
+# The parser recurses once per bracket; this bound keeps deep input far
+# from the interpreter's recursion limit.
+MAX_NESTING = 64
 
 
 class DslSyntaxError(ValueError):
@@ -255,6 +261,7 @@ class _LineParser:
         self.tokens = tokens
         self.pos = 0
         self.lineno = lineno
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -297,36 +304,36 @@ class _LineParser:
         raise DslSyntaxError(f"unexpected token {value!r}", line, col)
 
     def parse_list(self):
-        _, _, line, col = self.next(expect_kind="[")
-        items = []
-        nxt = self.peek()
-        if nxt and nxt[0] == "]":
-            self.next()
-            return ListExpr(items, line, col)
-        while True:
-            items.append(self.parse_expr())
-            kind = self.next()
-            if kind[0] == "]":
-                return ListExpr(items, line, col)
-            if kind[0] != ",":
-                raise DslSyntaxError(
-                    f"expected ',' or ']', found {kind[1]!r}", kind[2], kind[3])
+        _, _, line, col = self.peek()
+        return ListExpr(self.parse_items("[", "]"), line, col)
 
     def parse_call_tail(self, name, line, col):
-        self.next(expect_kind="(")
-        args = []
+        return Call(name, self.parse_items("(", ")"), line, col)
+
+    def parse_items(self, opener, closer):
+        """The comma-separated expressions from an opening bracket to its
+        closer, at most MAX_NESTING brackets deep."""
+        _, _, line, col = self.next(expect_kind=opener)
+        if self.depth == MAX_NESTING:
+            raise DslSyntaxError(
+                f"brackets nested more than {MAX_NESTING} deep", line, col)
+        self.depth += 1
+        items = []
         nxt = self.peek()
-        if nxt and nxt[0] == ")":
+        if nxt and nxt[0] == closer:
             self.next()
-            return Call(name, args, line, col)
-        while True:
-            args.append(self.parse_expr())
-            tok = self.next()
-            if tok[0] == ")":
-                return Call(name, args, line, col)
-            if tok[0] != ",":
-                raise DslSyntaxError(
-                    f"expected ',' or ')', found {tok[1]!r}", tok[2], tok[3])
+        else:
+            while True:
+                items.append(self.parse_expr())
+                tok = self.next()
+                if tok[0] == closer:
+                    break
+                if tok[0] != ",":
+                    raise DslSyntaxError(
+                        f"expected ',' or {closer!r}, found {tok[1]!r}",
+                        tok[2], tok[3])
+        self.depth -= 1
+        return items
 
     def expect_end(self):
         tok = self.peek()

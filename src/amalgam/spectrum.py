@@ -51,17 +51,14 @@ def quotient_ring(r, ideal):
     """
     if ideal.ring is not r:
         raise ValueError("ideal belongs to a different ring")
-    rel_rows = [r.unscaled(row) for row in ideal.basis.rows]
-    new_orders, project, lift_rows = quotient_decomposition(
-        [list(row) for row in rel_rows], r.orders)
+    new_orders, project, lifts = quotient_decomposition(
+        [r.unscaled(row) for row in ideal.basis.rows], r.orders)
     if not new_orders:
         raise RingConstructionError("quotient by the unit ideal is the zero ring")
-    lifts = [r.element(tuple(c % o for c, o in zip(row, r.orders)))
-             for row in lift_rows]
-    quo = derived_ring(r, new_orders, [x.coords for x in lifts], project,
-                       "q", f"{r.name}/I")
+    quo = derived_ring(r, new_orders, lifts, project, "q", f"{r.name}/I")
     hom_rows = [project(r.basis_element(i).coords) for i in range(r.rank)]
-    pi = RingHom(r, quo, hom_rows, section=tuple(lifts))
+    pi = RingHom(r, quo, hom_rows,
+                 section=tuple(r.element(x) for x in lifts))
     return quo, pi
 
 

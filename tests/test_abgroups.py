@@ -7,7 +7,6 @@ from math import prod
 import pytest
 
 from amalgam.abgroups import (
-    hermite_basis,
     quotient_decomposition,
     smith_diagonalize,
     subgroup_decomposition,
@@ -85,7 +84,7 @@ def test_subgroup_decomposition_enumeration():
         d = rng.randint(1, 3)
         orders = [rng.choice([2, 3, 4, 8, 9])] * 1 + [rng.choice([2, 4, 6]) for _ in range(d - 1)]
         gens = [[rng.randrange(o) for o in orders] for _ in range(rng.randint(1, 3))]
-        sub_orders, basis_rows = subgroup_decomposition(gens, orders)
+        sub_orders, read, basis_rows = subgroup_decomposition(gens, orders)
         # enumerate the subgroup directly
         target = {tuple(0 for _ in orders)}
         changed = True
@@ -97,7 +96,8 @@ def test_subgroup_decomposition_enumeration():
                     if e not in target:
                         target.add(e)
                         changed = True
-        # enumerate span of the reported basis, checking independence
+        # enumerate span of the reported basis, checking independence;
+        # read inverts it on every element
         combos = set()
         for coeffs in product(*[range(o) for o in sub_orders]) if sub_orders else [()]:
             vec = [0] * len(orders)
@@ -105,12 +105,10 @@ def test_subgroup_decomposition_enumeration():
                 for i in range(len(orders)):
                     vec[i] = (vec[i] + c * row[i]) % orders[i]
             combos.add(tuple(vec))
+            assert read(vec) == tuple(coeffs)
         assert combos == target
         assert len(combos) == prod(sub_orders) if sub_orders else len(combos) == 1
-
-
-def test_hermite_full_rank_required():
-    with pytest.raises(ValueError):
-        hermite_basis([[1, 0]], 2)
-    basis = hermite_basis([[2, 1], [0, 3]], 2)
-    assert basis[0][0] > 0 and basis[1][1] > 0
+        for e in group_elements(orders):
+            if e not in target:
+                with pytest.raises(ValueError):
+                    read(list(e))

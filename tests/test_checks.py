@@ -512,6 +512,29 @@ def test_hypotheses_of_uses_the_bundles_own_subring(monkeypatch):
     assert sum(ring is am.subring for am in fresh.values() for ring in calls) == len(fresh)
 
 
+@pytest.mark.parametrize("error, caught", [(ValueError, True),
+                                          (TypeError, False)])
+def test_only_a_value_error_from_the_subring_becomes_a_witness(
+        monkeypatch, error, caught):
+    # f(A) + J and J inside it raise ValueError (RingConstructionError is
+    # one) on bad input; any other exception is a defect and propagates
+    from amalgam.amalgam import AmalgamObjects
+
+    def broken(self):
+        raise error("no generators")
+
+    am = standard_instances()["dup_z4"]
+    monkeypatch.setattr(AmalgamObjects, "j_subring_generators", broken)
+    if not caught:
+        with pytest.raises(error):
+            hypotheses_of(am)
+        return
+    report, result = hypotheses_of(am)
+    assert report.witnesses["subring_error"] == "no generators"
+    assert report.j_min_generator_count is None
+    assert result.passed
+
+
 def _outside_the_hypothesis_set():
     # A local, J = (x^2) proper with J^2 = 0, but f(M)J holds x * x^2 != 0
     a = trunc_poly(2, 4)

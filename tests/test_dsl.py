@@ -202,12 +202,14 @@ _DUP = "A = zmod(4)\nI = ideal(A, [[2]])\nD = duplication(A, I)\n"
      "line 4, col 1: job 'betti' takes 1..2 arguments, got 3"),
     (_DUP + "job hypotheses(D, D)\n",
      "line 4, col 1: job 'hypotheses' takes 1 arguments, got 2"),
+    (_DUP + "job thm34(D, [2], 5)\n",
+     "line 4, col 1: job 'thm34' takes 2 arguments, got 3"),
     # arity is checked after the whole file parses, so a later unknown
     # name wins over an earlier arity error
     ("A = zmod(4, 5)\nB = mystery(1)\n",
      "line 2, col 5: unknown constructor 'mystery'"),
 ], ids=["constructor", "job", "zmod-arity", "module-arity", "betti-arity",
-        "hypotheses-arity", "parse-before-arity"])
+        "hypotheses-arity", "thm34-arity", "parse-before-arity"])
 def test_input_error_messages_and_positions(capsys, tmp_path, text, message):
     path = tmp_path / "bad.ring"
     path.write_text(text)
@@ -461,6 +463,51 @@ def test_the_cli_digests_its_input_without_openssl():
     assert loaded == "False"
     assert digest == "sha256:" + hashlib.sha256(b"A = zmod(4)\n").hexdigest()
     assert input_digest("A = zmod(4)\n") == digest
+
+
+def test_deep_nesting_is_an_input_error_not_a_traceback(tmp_path):
+    path = tmp_path / "deep.ring"
+    path.write_text("A = zmod(" + "[" * 600 + "]" * 600 + ")\n")
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-m", "amalgam", "check",
+                           str(path)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("input error: line 1, col ")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("depth, error", [(dsl.MAX_NESTING, False),
+                                          (dsl.MAX_NESTING + 1, True)])
+def test_nesting_past_the_limit_is_reported_at_the_bracket(depth, error):
+    # zmod's round bracket counts too; the error names the first bracket
+    # past the limit
+    text = "A = zmod(" + "[" * (depth - 1) + "]" * (depth - 1) + ")\n"
+    if not error:
+        assert len(parse(text).decls()) == 1
+        return
+    with pytest.raises(DslSyntaxError) as info:
+        parse(text)
+    assert (info.value.line, info.value.col) == (1, 9 + depth - 1)
+    assert str(info.value).endswith(
+        f"brackets nested more than {dsl.MAX_NESTING} deep")
+
+
+_HEAVY_MODULES = ("hashlib", "_hashlib", "inspect", "dataclasses", "typing",
+                  "ast", "decimal", "fractions")
+
+
+def test_importing_the_cli_loads_no_heavy_module():
+    # setup_s times the import in fresh interpreters and peak_rss_mb reads
+    # the resident size, so the CLI keeps to light standard modules
+    probe = ("import sys\n"
+             f"sys.path.insert(0, {SRC!r})\n"
+             "import amalgam.cli\n"
+             f"print(sorted(set({_HEAVY_MODULES!r}) & set(sys.modules)))\n")
+    proc = subprocess.run([sys.executable, "-S", "-c", probe],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_python_m_amalgam_runs_the_cli_from_a_checkout(capsys):
