@@ -25,9 +25,8 @@ from .modules import (CokernelSpec, Ideal, Resolution, Submodule,
                       module_equal,
                       module_quotient_presentation, pd_report,
                       submodule_span, syzygy)
-from .spectrum import (idempotents, is_field, is_local, is_regular,
-                       maximal_ideals, nilradical, quotient_ring,
-                       residue_field, units)
+from .spectrum import (idempotents, is_field, is_local, maximal_ideals,
+                       nilradical, quotient_ring, residue_field)
 from .amalgam import AmalgamObjects, amalgamation, duplication, image_plus_J
 from .instances import (standard_duplication, standard_idealization_tower,
                         standard_instances, standard_truncation)
@@ -41,8 +40,8 @@ __all__ = [
     "global_dimension_signature", "ideal_span", "ideal_sum", "is_projective",
     "minimal_generators", "minimal_resolution", "module_equal",
     "module_quotient_presentation", "pd_report", "submodule_span", "syzygy",
-    "idempotents", "is_field", "is_local", "is_regular", "maximal_ideals",
-    "nilradical", "quotient_ring", "residue_field", "units",
+    "idempotents", "is_field", "is_local", "maximal_ideals", "nilradical",
+    "quotient_ring", "residue_field",
     "AmalgamObjects", "amalgamation", "duplication", "image_plus_J",
     "standard_duplication", "standard_idealization_tower",
     "standard_instances", "standard_truncation",

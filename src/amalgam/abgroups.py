@@ -185,7 +185,8 @@ def subgroup_decomposition(generator_rows, orders):
         solver.kernel.rows, [n] * len(gens))
 
     def read(vec):
-        x = solver.solve([c * s for c, s in zip(vec, scale)])
+        # project sends the left kernel to 0, so any solution will do
+        x = solver.particular([c * s for c, s in zip(vec, scale)])
         if x is None:
             raise ValueError(f"element {tuple(vec)} is not in the subgroup")
         return project(x)

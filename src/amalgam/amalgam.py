@@ -19,8 +19,7 @@ from .znlinalg import Solver, ZnMatrix, span_builder
 from .rings import (DEFAULT_MAX_ORDER, FiniteRing, RingConstructionError,
                     RingElement, RingHom, derived_ring, product)
 from .abgroups import subgroup_decomposition
-from .modules import (TypeTable, _flat_scaled_coords, ideal_span,
-                      select_generators)
+from .modules import _flat_scaled_coords, ideal_span, select_generators
 from . import spectrum
 
 
@@ -81,7 +80,8 @@ class AmalgamObjects:
         self.j_orders = tuple(j_orders)
         self.j_group_basis = tuple(ring_b.element(x) for x in j_lifts)
 
-        # basis: A's, then J's; a product with a J factor lies in J
+        # basis: A's, then J's; a product with a J factor lies in J.  The
+        # ring is commutative, so only t >= i is computed and mirrored
         da, k = ring_a.rank, len(j_orders)
         zero_a, zero_j = (0,) * da, (0,) * k
         f_images = [hom.apply_coords(ring_a.basis_element(i).coords)
@@ -91,17 +91,12 @@ class AmalgamObjects:
         def j_part(x, y):
             return zero_a + self._j_read(ring_b.mul_coords(x, y))
 
-        tensor = []
+        tensor = [[None] * (da + k) for _ in gens]
         for i in range(da + k):
-            row = []
-            for t in range(da + k):
-                if i < da and t < da:
-                    row.append(tuple(ring_a.tensor[i][t]) + zero_j)
-                elif t < da:
-                    row.append(j_part(f_images[t], gens[i]))
-                else:
-                    row.append(j_part(gens[i], gens[t]))
-            tensor.append(tuple(row))
+            for t in range(i, da + k):
+                tensor[i][t] = tensor[t][i] = (
+                    ring_a.tensor[i][t] + zero_j if t < da
+                    else j_part(gens[i], gens[t]))
         orders = ring_a.orders + self.j_orders
         unit = ring_a.unit + zero_j
         labels = ring_a.labels + tuple(f"j{t}" for t in range(k))
@@ -123,22 +118,11 @@ class AmalgamObjects:
         self.mj = self.mj_of(self.a_max) if self.a_local else None
         self.subring, self.subring_incl = image_plus_J(hom, ideal_j)
         self._j_subring_generators = None
-        self._type_table = None
         self._hypotheses = None  # cached by checks.hypotheses_of
 
     def ring_local(self):
         """(flag, maximal ideal) of the constructed ring."""
         return spectrum.is_local(self.ring)
-
-    def type_table(self):
-        """The TypeTable that every resolution over the constructed ring
-        and its maximal ideal shares while the bundle lives; None if the
-        ring is not local."""
-        if self._type_table is None:
-            local, mx = self.ring_local()
-            if local:
-                self._type_table = TypeTable(self.ring, mx)
-        return self._type_table
 
     def embed(self, a_elem, j_elem):
         """The ring element with pair (a, f(a) + j)."""

@@ -423,16 +423,16 @@ def kernel_transfer(am, p, u_vectors, k_vectors, seed=0):
     return verify_kernel_transfer(am, p, u_vectors, k_vectors)
 
 
-def verify_lemma_2_4(am, p, u_vectors, k_vectors, depth=4):
+def verify_lemma_2_4(am, p, u_vectors, k_vectors, depth=4, table=None):
     """Kernel transfer for W plus Betti tables of W and U, under the
-    hypothesis set (so the amalgamation is local)."""
+    hypothesis set (so the amalgamation is local); U resolves on a fresh
+    table."""
     status, reason, data = _kernel_transfer_data(am, u_vectors, k_vectors)
     if status != "ok":
         return skipped("lemma24", reason)
     _, mx = am.ring_local()
     w_sub = submodule_span(am.ring, p, data["w_gens"])
-    res_w = minimal_resolution(am.ring, w_sub, mx, depth,
-                               table=am.type_table())
+    res_w = minimal_resolution(am.ring, w_sub, mx, depth, table=table)
     u_sub = submodule_span(am.a, p, data["u_vectors"])
     res_u = minimal_resolution(am.a, u_sub, am.a_max, depth)
     witnesses = {
@@ -458,11 +458,11 @@ def verify_idempotent_claim(am):
                    "offenders": offenders})
 
 
-def betti_experiment(am, depth=DEFAULT_DEPTH):
+def betti_experiment(am, depth=DEFAULT_DEPTH, table=None):
     """Betti positivity of M |><| J and {0} x J to the given depth, under
     the hypothesis set (so the amalgamation is local)."""
     _, mx = am.ring_local()
-    table = am.type_table()
+    table = table or TypeTable(am.ring, mx)
     res_mj = minimal_resolution(am.ring, am.mj, mx, depth, table=table)
     res_zj = minimal_resolution(am.ring, am.zero_j, mx, depth, table=table)
     issues = res_mj.validate() + res_zj.validate()
@@ -481,7 +481,7 @@ def betti_experiment(am, depth=DEFAULT_DEPTH):
                   witnesses)
 
 
-def verify_thm_3_1_objects(am, k_elem, depth=DEFAULT_DEPTH):
+def verify_thm_3_1_objects(am, k_elem, depth=DEFAULT_DEPTH, table=None):
     """Proof objects for the principal ideal I = R(0, k), k nonzero in J."""
     if k_elem.is_zero() or not am.j.contains_element(k_elem):
         return skipped("thm31", "k must be a nonzero element of J")
@@ -494,7 +494,7 @@ def verify_thm_3_1_objects(am, k_elem, depth=DEFAULT_DEPTH):
     projective = is_projective(am.ring, ideal_i, mx)
     whole = submodule_span(am.ring, 1, [(am.ring.one(),)])
     res = minimal_resolution(am.ring, CokernelSpec(whole, ideal_i), mx,
-                             depth, table=am.type_table())
+                             depth, table=table)
     kind, value = res.verdict
     deep = kind == "at_least" and value >= depth
     witnesses = {
@@ -587,7 +587,7 @@ def verify_thm_3_4_bookkeeping(am, m_elem, levels=3):
                   witnesses)
 
 
-def pd_profile(ring, depth=8, budget=DEFAULT_MAX_ORDER):
+def pd_profile(ring, depth=8, budget=DEFAULT_MAX_ORDER, table=None):
     """Projective-dimension survey of cyclic quotients R/I of a local ring."""
     order = ring.order()
     ideals = {}
@@ -622,7 +622,7 @@ def pd_profile(ring, depth=8, budget=DEFAULT_MAX_ORDER):
         return skipped("pd_profile", "ring exceeds the enumeration budget")
     whole = submodule_span(ring, 1, [(ring.one(),)])
     _, mx = spectrum.is_local(ring)
-    table = TypeTable(ring, mx)
+    table = table or TypeTable(ring, mx)
     rows = []
     max_finite = 0
     deep = 0
@@ -645,11 +645,11 @@ def pd_profile(ring, depth=8, budget=DEFAULT_MAX_ORDER):
                    "deep_verdicts": deep, "depth": depth})
 
 
-def gldim_signature(ring, depth=8):
+def gldim_signature(ring, depth=8, table=None):
     """Global-dimension signature of a local ring: pd verdict of the
     residue field."""
     _, mx = spectrum.is_local(ring)
-    res = global_dimension_signature(ring, mx, depth)
+    res = global_dimension_signature(ring, mx, depth, table)
     kind, value = res.verdict
     issues = res.validate()
     witnesses = {"betti": list(res.betti), "verdict": f"{kind}:{value}",
@@ -658,10 +658,10 @@ def gldim_signature(ring, depth=8):
     return record("gldim", not issues, "resolution invalid", witnesses)
 
 
-def resolve(module, depth=8):
+def resolve(module, depth=8, table=None):
     """Minimal resolution of an ideal or submodule over a local ring."""
     _, mx = spectrum.is_local(module.ring)
-    res = minimal_resolution(module.ring, module, mx, depth)
+    res = minimal_resolution(module.ring, module, mx, depth, table=table)
     kind, value = res.verdict
     issues = res.validate()
     witnesses = {"betti": list(res.betti), "verdict": f"{kind}:{value}",
@@ -718,6 +718,8 @@ def random_kernel_transfer_check(am, p, r, rng):
 # Each ringdsl job: its precondition (a key of PRECONDITIONS, or None) and
 # its check.  dsl.JOBS holds the kinds of the check's arguments, and
 # cli.run_job coerces them, applies the precondition and times the check.
+# A check that resolves takes table, the run's TypeTable of its ring;
+# called without one, its resolutions share one fresh table.
 JOBS = {
     "hypotheses": (None, lambda am: hypotheses_of(am)[1]),
     "remark21": ("local_base_square_zero_j", verify_remark_2_1),

@@ -34,8 +34,8 @@ import time
 from . import checks as checklib
 from . import dsl, spectrum
 from .amalgam import AmalgamObjects, amalgamation, duplication, image_plus_J
-from .modules import (Ideal, Submodule, ideal_span, submodule_span,
-                      vector_from_coords)
+from .modules import (Ideal, Submodule, TypeTable, ideal_span,
+                      submodule_span, vector_from_coords)
 from .report import Report, input_digest
 from .rings import (BudgetExceededError, FiniteRing, ModuleSpec, RingHom,
                     product, trivial_extension, trunc_poly, verify_ring, zmod)
@@ -124,6 +124,19 @@ class Builder:
         self.env = {}
         self.max_order = budget
         self._memo = {}
+        self._tables = {}  # id(ring) -> (ring, its TypeTable or None)
+
+    def type_table(self, subject):
+        """The run's TypeTable of subject's ring (subject a ring, or an
+        amalgamation or module over it), shared by every job of the run;
+        None if the ring is not local."""
+        ring = subject if isinstance(subject, FiniteRing) else subject.ring
+        entry = self._tables.get(id(ring))
+        if entry is None:
+            local, mx = spectrum.is_local(ring)
+            entry = self._tables[id(ring)] = (
+                ring, TypeTable(ring, mx) if local else None)
+        return entry[1]
 
     def eval_expr(self, expr):
         if isinstance(expr, dsl.Num):
@@ -184,7 +197,7 @@ def _job_values(builder, job, options):
     """
     args = [builder.eval_expr(a) for a in job.args]
     try:
-        return _coerce_all(dsl.JOBS[job.name], args, options)
+        return _coerce_all(dsl.JOBS[job.name], args, options, builder)
     except ValueError as exc:
         message = f"job {job.name!r}: {exc}"
     if options.command not in TARGETS:
@@ -194,14 +207,14 @@ def _job_values(builder, job, options):
         f"--{TARGETS[options.command]} {options.target!r}: {message}")
 
 
-def _coerce_all(kinds, args, options):
+def _coerce_all(kinds, args, options, builder=None):
     """The values the kinds give for args, in order; a ValueError names
     the argument at fault."""
     total = len(args)
     values = []
     for kind in kinds:
         try:
-            values += _coerce(kind, args, values, options)
+            values += _coerce(kind, args, values, options, builder)
         except ValueError as exc:
             raise ValueError(f"argument {total - len(args)}: {exc}") from None
     return values
@@ -219,11 +232,13 @@ def _ints(value, depth):
     return value
 
 
-def _coerce(kind, args, values, options):
+def _coerce(kind, args, values, options, builder):
     """The values one kind gives (see dsl.KIND_ARGS), taken off the front
     of args; a ValueError says what is wrong with the last one taken."""
     if kind in ("seed", "budget"):
         return [options.seed if kind == "seed" else options.max_order]
+    if kind == "types":
+        return [builder.type_table(values[0])]
     if kind in ("depth", "short_depth"):
         if not args:
             return [options.depth if kind == "depth" else min(options.depth, 4)]

@@ -33,13 +33,14 @@ CONSTRUCTORS = {
 JOBS = {
     "hypotheses": ("amalgam",), "remark21": ("amalgam",),
     "kernel_transfer": ("amalgam", "count", "draws_or_vectors", "seed"),
-    "lemma24": ("amalgam", "count", "vectors", "short_depth"),
+    "lemma24": ("amalgam", "count", "vectors", "short_depth", "types"),
     "power_iso": ("amalgam", "count", "seed", "budget"),
-    "idempotent": ("amalgam",), "betti": ("amalgam", "depth"),
-    "thm31": ("amalgam", "b_element", "depth"),
+    "idempotent": ("amalgam",), "betti": ("amalgam", "depth", "types"),
+    "thm31": ("amalgam", "b_element", "depth", "types"),
     "thm34": ("amalgam", "a_element"),
-    "gldim": ("ring", "depth"), "pd_profile": ("ring", "depth", "budget"),
-    "ringcheck": ("ring",), "resolve": ("submodule", "depth"),
+    "gldim": ("ring", "depth", "types"),
+    "pd_profile": ("ring", "depth", "budget", "types"),
+    "ringcheck": ("ring",), "resolve": ("submodule", "depth", "types"),
     "spectrum": ("ring", "budget"),
 }
 # A kind takes one argument: an "int", a flat list of "ints", a "matrix"
@@ -51,10 +52,13 @@ JOBS = {
 # over A, then as many k vectors over B, each of p * rank coordinates for
 # p the count before; "draws_or_vectors" may be a count of random ones
 # instead.  "depth" (>= 0) defaults to --depth, and "short_depth" to at
-# most 4.  "seed" and "budget" are --seed, --max-order.
+# most 4.  "seed" and "budget" are --seed, --max-order; "types" is the
+# run's TypeTable for the first argument's ring (None if it is not local),
+# shared by every job of the run.
 KIND_ARGS = {
     "matrices": (0, None), "vectors": (2, 2), "draws_or_vectors": (1, 2),
     "depth": (0, 1), "short_depth": (0, 1), "seed": (0, 0), "budget": (0, 0),
+    "types": (0, 0),
 }
 
 

@@ -292,9 +292,13 @@ def minimal_generators(sub, max_ideal, gens=None, den=None):
     if den is not None:
         for row in den.basis.rows:
             b.insert(list(row))
-    # M*X is spanned by m*x over the rows of M and X; it is zero (and
+    # M*X is spanned by m*x over the rows of M and any R-generating set of
+    # X, its generators when they are fewer than its rows; it is zero (and
     # nothing is inserted) exactly when M annihilates X
-    x_rows = [_coord_slots(ring, sub.p, row) for row in sub.basis.rows]
+    if sub._generators is None or len(sub._generators) >= len(sub.basis.rows):
+        x_rows = [_coord_slots(ring, sub.p, row) for row in sub.basis.rows]
+    else:
+        x_rows = [[e.coords for e in g] for g in sub._generators]
     for row in max_ideal.basis.rows:
         m = ring.unscaled(row)
         for x in x_rows:
@@ -368,11 +372,24 @@ class SummandType:
         self.syz = self.syz_gens = self.components = self.children = None
 
     def resolve(self, table):
+        """Fill in syz, syz_gens, components and children on table.  syz
+        is the direct sum of its components on disjoint slots, so each of
+        its Howell rows lies in one, and a component's rows, restricted to
+        its slots, are its key (validate re-spans it)."""
         ring = self.module.ring
+        d = ring.rank
         self.syz = syzygy(ring, self.gens, den=self.den)
         self.syz_gens = minimal_generators(self.syz, table.max_ideal)
-        self.components = [(slots, table.key_of(len(slots), group))
-                           for slots, group in _slot_components(self.syz_gens)]
+        split = _slot_components(self.syz_gens)
+        home = {s: n for n, (slots, _) in enumerate(split) for s in slots}
+        rows = [[] for _ in split]
+        for row, (j, _) in zip(self.syz.basis.rows, self.syz.basis.pivots):
+            n = home[j // d]
+            rows[n].append([x for s in split[n][0] for x in row[s * d:s * d + d]])
+        self.components = [
+            (slots, table.key_of(HowellBasis(ring.char, len(slots) * d, r),
+                                 len(slots), group))
+            for (slots, group), r in zip(split, rows)]
         self.children = Counter(key for _, key in self.components)
 
     def issues(self, max_ideal, where, cover):
@@ -484,11 +501,11 @@ class TypeTable:
     types maps a canonical Howell basis to the SummandType of that
     submodule of R^k.  A type's data depends only on its key, so every
     resolution over the same ring and maximal ideal may share one table
-    and resolve each type once.  AmalgamObjects owns one for its ring for
-    as long as the bundle lives, pd_profile one for its ideal loop, and
-    minimal_resolution makes a fresh one, dropped with the call, when
-    handed none.  Types name their children by key, so a table is freed
-    with its owner by reference counting.
+    and resolve each type once.  A ringdsl run owns one per local ring for
+    all its jobs (cli.Builder.type_table); a check or minimal_resolution
+    handed none makes a fresh one for that call.  Types name their
+    children by key, so a table is freed with its owner by reference
+    counting.
     """
 
     __slots__ = ("ring", "max_ideal", "types")
@@ -498,15 +515,15 @@ class TypeTable:
         self.max_ideal = max_ideal
         self.types = {}
 
-    def key_of(self, k, vectors):
-        """The key of span(vectors) in R^k, filing a new type on first sight."""
-        module = submodule_span(self.ring, k, vectors)
-        t = self.types.get(module.basis)
+    def key_of(self, basis, k, vectors):
+        """The key equal to basis, the canonical basis of span(vectors) in
+        R^k, filing a new type (gens from its rows) on first sight."""
+        t = self.types.get(basis)
         if t is None:
+            module = Submodule(self.ring, k, basis, vectors)
             gens = minimal_generators(module, self.max_ideal,
                                       gens=module.rows_as_vectors())
-            t = self.types[module.basis] = SummandType(module, gens,
-                                                       key=module.basis)
+            t = self.types[basis] = SummandType(module, gens, key=basis)
         return t.key
 
 
@@ -722,7 +739,7 @@ def residue_field_target(ring, max_ideal):
     return CokernelSpec(num, den)
 
 
-def global_dimension_signature(ring, max_ideal, depth=DEFAULT_DEPTH):
+def global_dimension_signature(ring, max_ideal, depth=DEFAULT_DEPTH, table=None):
     """pd verdict of the residue field (= global dimension for local rings)."""
     return minimal_resolution(ring, residue_field_target(ring, max_ideal),
-                              max_ideal, depth)
+                              max_ideal, depth, table)

@@ -184,10 +184,13 @@ def derived_ring(ring, orders, lifts, read, prefix, name):
     Basis element i of the new ring (of order orders[i]) is represented by
     the coordinate tuple lifts[i] of `ring`, and read maps a coordinate
     tuple of `ring` to coordinates in the new basis.  The tensor holds
-    read(lifts[i] * lifts[j]) and the unit is read(1).
+    read(lifts[i] * lifts[j]) and the unit is read(1); the ring is
+    commutative, so only j >= i is read and the rest mirrored.
     """
-    tensor = [tuple(read(ring.mul_coords(x, y)) for y in lifts)
-              for x in lifts]
+    tensor = [[None] * len(lifts) for _ in lifts]
+    for i, x in enumerate(lifts):
+        for j in range(i, len(lifts)):
+            tensor[i][j] = tensor[j][i] = read(ring.mul_coords(x, lifts[j]))
     return FiniteRing(lcm(*orders), tuple(orders), tensor, read(ring.unit),
                       labels=tuple(f"{prefix}{i}" for i in range(len(orders))),
                       name=name)

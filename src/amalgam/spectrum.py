@@ -15,7 +15,7 @@ Nil(R) is its maximal ideal, so neither R nor R/Nil(R) is enumerated, and
 the residue field R/Nil(R) needs no check: a reduced local finite ring is
 a field.
 
-Operations that genuinely enumerate elements (idempotents, units, the
+Operations that genuinely enumerate elements (idempotents, the
 maximal ideals of a ring that is not local) refuse to run past a
 configurable budget instead of silently grinding.
 """
@@ -160,28 +160,8 @@ def _span_intersection(n, b1, b2):
 
 # -- element-level analysis -----------------------------------------------------
 
-def is_regular(x):
-    """Non-zero-divisor test: the multiplication map has trivial kernel."""
-    ann = syzygy(x.ring, [(x,)])
-    return ann.size() == 1
-
-
 def idempotents(r, budget=DEFAULT_MAX_ORDER):
     return [x for x in r.elements(budget) if (x * x) == x]
-
-
-def units(r, budget=DEFAULT_MAX_ORDER):
-    return [x for x in r.elements(budget) if is_regular(x)]
-
-
-def is_nilpotent(x):
-    """Direct nilpotency test by repeated squaring (used as an oracle)."""
-    y = x
-    for _ in range(x.ring.order().bit_length() + 1):
-        if y.is_zero():
-            return True
-        y = y * y
-    return y.is_zero()
 
 
 # -- spectrum -------------------------------------------------------------------

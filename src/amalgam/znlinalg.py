@@ -442,8 +442,8 @@ class Solver:
     The factorization is the Howell form of [m | I], kept as its rows with
     a pivot in the m-part and the left kernel of m (the other rows, see
     kernel).  Each solve is one greedy reduction of b along the former,
-    which accumulates a particular solution x, and one reduction of x
-    modulo the kernel.
+    which accumulates a particular solution x (particular), and one
+    reduction of x modulo the kernel.
     """
 
     __slots__ = ("cols", "kernel", "_reducers")
@@ -465,6 +465,12 @@ class Solver:
         modulo the left kernel, so equal inputs always give the identical
         answer.
         """
+        x = self.particular(b)
+        return None if x is None else self.kernel.reduce(x)
+
+    def particular(self, b):
+        """A solution x of x*m = b, or None: the reduction of b along the
+        factorization, not yet reduced modulo the left kernel."""
         if len(b) != self.cols:
             raise DimensionMismatch(f"rhs length {len(b)} != cols {self.cols}")
         n, r = self.kernel.modulus, self.kernel.ambient
@@ -482,7 +488,7 @@ class Solver:
                 x[t] = (x[t] + q * coeffs[t]) % n
         if any(v):
             return None
-        return self.kernel.reduce(x)
+        return x
 
 
 def solve(m, b):
@@ -504,17 +510,3 @@ def span_equal(h1, h2):
 
 def span_size(h):
     return h.span_size()
-
-
-def enumerate_span(h):
-    """All span elements by brute force; test oracle for small spans only."""
-    n = h.modulus
-    vecs = {(0,) * h.ambient}
-    for row in h.rows:
-        new = set()
-        for k in range(n):
-            shift = tuple((k * e) % n for e in row)
-            for v in vecs:
-                new.add(tuple((a + b) % n for a, b in zip(v, shift)))
-        vecs = new
-    return vecs

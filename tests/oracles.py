@@ -6,7 +6,19 @@ independent of the Howell/span machinery it cross-checks.
 
 from itertools import product as iproduct
 
-from amalgam.znlinalg import enumerate_span
+
+def enumerate_span(h):
+    """All elements of a HowellBasis's span, by brute force."""
+    n = h.modulus
+    vecs = {(0,) * h.ambient}
+    for row in h.rows:
+        new = set()
+        for k in range(n):
+            shift = tuple((k * e) % n for e in row)
+            for v in vecs:
+                new.add(tuple((a + b) % n for a, b in zip(v, shift)))
+        vecs = new
+    return vecs
 
 
 def dense_mul_coords(ring, x, y):
@@ -95,6 +107,16 @@ def ideal_elements(ideal):
     for row in enumerate_span(ideal.basis):
         out.add(ideal.ring.unscaled(row))
     return out
+
+
+def is_nilpotent(x):
+    """Direct nilpotency test by repeated squaring."""
+    y = x
+    for _ in range(x.ring.order().bit_length() + 1):
+        if y.is_zero():
+            return True
+        y = y * y
+    return y.is_zero()
 
 
 def brute_maximal_ideals(r):

@@ -266,7 +266,7 @@ def test_criterion_09_howell_substrate():
 
 
 def _span_vectors(h):
-    from amalgam.znlinalg import enumerate_span
+    from oracles import enumerate_span
     return enumerate_span(h)
 
 

@@ -5,6 +5,7 @@ import gc
 import io
 import os
 import random
+from collections import Counter
 from itertools import product as iproduct
 from math import prod
 
@@ -30,9 +31,7 @@ from amalgam.modules import (
 )
 from amalgam.spectrum import is_local
 from amalgam import amalgam as am, cli
-from amalgam.znlinalg import enumerate_span
-
-from oracles import dense_resolution
+from oracles import dense_resolution, enumerate_span
 
 
 def submodule_elements(sub):
@@ -407,7 +406,7 @@ def test_a_type_table_holds_no_reference_cycle():
     try:
         inst = standard_truncation(3)
         _, mx = inst.ring_local()
-        table = inst.type_table()
+        table = TypeTable(inst.ring, mx)
         res = minimal_resolution(inst.ring, inst.mj, mx, 6, table=table)
         assert any(t.key in t.children for t in res.types)
         del inst, table, mx, res
@@ -550,3 +549,76 @@ def test_corpus_pass_resolves_each_summand_type_once_per_table(monkeypatch):
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(["check", path, "--format", "json", "--seed", "0"]) == 0
     assert len(calls) <= 40
+
+
+def _corpus(name):
+    return os.path.join(os.path.dirname(__file__), "..", "corpus", f"{name}.ring")
+
+
+def _check(name):
+    """Exit code of ringdsl check on a corpus file, its report discarded."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        return cli.main(["check", _corpus(name), "--format", "json"])
+
+
+def test_a_ringdsl_run_resolves_each_summand_type_once(monkeypatch):
+    # betti, thm31, gldim and pd_profile resolve over one ring; the run
+    # gives them one table, so no type of that ring is resolved twice
+    seen = Counter()
+    resolve = SummandType.resolve
+
+    def counted(self, table):
+        if self.key is not None:
+            seen[id(self.module.ring), self.key] += 1
+        return resolve(self, table)
+
+    monkeypatch.setattr(SummandType, "resolve", counted)
+    assert _check("truncation_t3") == 0
+    assert seen and max(seen.values()) == 1
+
+
+def test_a_ringdsl_run_leaves_no_reference_cycle():
+    gc.collect()
+    gc.disable()
+    try:
+        assert _check("truncation_t3") == 0
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        leaked = [type(o).__name__ for o in gc.garbage
+                  if isinstance(o, (SummandType, TypeTable))]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert leaked == []
+
+
+@pytest.mark.parametrize("name", ["duplication_z4", "idealization_tower",
+                                  "truncation_t3", "duplication_mixed_orders"])
+def test_every_summand_type_resolves_inside_minimal_resolution(monkeypatch, name):
+    # perfbench times resolution as the time inside minimal_resolution,
+    # wrapped where modules and checks look it up; a type resolved outside
+    # those calls would go untimed and read as a gain
+    from amalgam import checks, modules
+    open_calls = [0]
+    inner = modules.minimal_resolution
+
+    def wrapped(*args, **kwargs):
+        open_calls[0] += 1
+        try:
+            return inner(*args, **kwargs)
+        finally:
+            open_calls[0] -= 1
+
+    inside = []
+    resolve = SummandType.resolve
+
+    def watched(self, table):
+        inside.append(open_calls[0] > 0)
+        return resolve(self, table)
+
+    for owner in (modules, checks):
+        monkeypatch.setattr(owner, "minimal_resolution", wrapped)
+    monkeypatch.setattr(SummandType, "resolve", watched)
+    assert _check(name) in (0, 1)
+    assert inside and all(inside)

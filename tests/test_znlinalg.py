@@ -17,7 +17,6 @@ from amalgam.znlinalg import (
     ZnMatrix,
     _Gf2Builder,
     _GenericBuilder,
-    enumerate_span,
     howell,
     howell_from_rows,
     kernel,
@@ -28,7 +27,7 @@ from amalgam.znlinalg import (
     span_size,
 )
 
-from oracles import brute_left_kernel, brute_solve, brute_span
+from oracles import brute_left_kernel, brute_solve, brute_span, enumerate_span
 
 
 def test_howell_already_canonical():
