@@ -15,33 +15,27 @@ Layers, bottom up:
 
 __version__ = "0.1.0"
 
-from .znlinalg import (HowellBasis, Solver, ZnMatrix, howell, kernel, solve,
-                       span_contains, span_equal, span_size)
+from .znlinalg import HowellBasis, Solver, ZnMatrix, kernel
 from .rings import (FiniteRing, ModuleSpec, RingElement, RingHom, product,
                     trivial_extension, trunc_poly, verify_ring, zmod)
 from .modules import (CokernelSpec, Ideal, Resolution, Submodule,
                       global_dimension_signature, ideal_span, ideal_sum,
                       is_projective, minimal_generators, minimal_resolution,
-                      module_equal,
-                      module_quotient_presentation, pd_report,
                       submodule_span, syzygy)
-from .spectrum import (idempotents, is_field, is_local, maximal_ideals,
-                       nilradical, quotient_ring, residue_field)
+from .spectrum import (idempotents, is_local, maximal_ideals, nilradical,
+                       quotient_ring)
 from .amalgam import AmalgamObjects, amalgamation, duplication, image_plus_J
 from .instances import (standard_duplication, standard_idealization_tower,
                         standard_instances, standard_truncation)
 
 __all__ = [
-    "HowellBasis", "Solver", "ZnMatrix", "howell", "kernel", "solve", "span_contains",
-    "span_equal", "span_size",
+    "HowellBasis", "Solver", "ZnMatrix", "kernel",
     "FiniteRing", "ModuleSpec", "RingElement", "RingHom", "product",
     "trivial_extension", "trunc_poly", "verify_ring", "zmod",
     "CokernelSpec", "Ideal", "Resolution", "Submodule",
     "global_dimension_signature", "ideal_span", "ideal_sum", "is_projective",
-    "minimal_generators", "minimal_resolution", "module_equal",
-    "module_quotient_presentation", "pd_report", "submodule_span", "syzygy",
-    "idempotents", "is_field", "is_local", "maximal_ideals", "nilradical",
-    "quotient_ring", "residue_field",
+    "minimal_generators", "minimal_resolution", "submodule_span", "syzygy",
+    "idempotents", "is_local", "maximal_ideals", "nilradical", "quotient_ring",
     "AmalgamObjects", "amalgamation", "duplication", "image_plus_J",
     "standard_duplication", "standard_idealization_tower",
     "standard_instances", "standard_truncation",

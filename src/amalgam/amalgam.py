@@ -149,11 +149,6 @@ class AmalgamObjects:
                 j_elem = j_elem + c * e
         return a_elem, j_elem
 
-    def second_component(self, elem):
-        """The actual B-coordinate f(a) + j of the pair."""
-        a_elem, j_elem = self.decompose(elem)
-        return self.f(a_elem) + j_elem
-
     def mj_of(self, ideal_a):
         """The ideal m |><| J = {(m, f(m)+j)} for an ideal m of A."""
         gens = [self.embed(x, self.b.zero())

@@ -33,10 +33,6 @@ from .rings import RingElement
 DEFAULT_DEPTH = 8
 
 
-class NotLocalError(ValueError):
-    pass
-
-
 # -- vector plumbing ---------------------------------------------------------
 
 def vector_from_coords(ring, p, flat_coords):
@@ -67,11 +63,6 @@ def _coord_slots(ring, p, flat):
 
 def unflatten_scaled(ring, p, flat):
     return tuple(RingElement(ring, x) for x in _coord_slots(ring, p, flat))
-
-
-def vector_scale(x, vec):
-    """x * vec for a ring element x; zero entries stay untouched."""
-    return tuple(x * e if any(e.coords) else e for e in vec)
 
 
 def vector_is_zero(vec):
@@ -149,9 +140,6 @@ class Submodule:
     def is_zero(self):
         return not self.basis.rows
 
-    def contains_vector(self, vec):
-        return self.basis.contains(flat_scaled(self.ring, vec))
-
     def contains_submodule(self, other):
         return all(self.basis.contains(list(r)) for r in other.basis.rows)
 
@@ -227,10 +215,6 @@ def ideal_sum(a, b):
 
 def zero_ideal(ring):
     return Ideal.from_elements(ring, [])
-
-
-def module_equal(a, b):
-    return (a.ring is b.ring) and a.p == b.p and a.basis == b.basis
 
 
 # -- syzygies -----------------------------------------------------------------
@@ -341,10 +325,6 @@ class CokernelSpec:
             raise ValueError("denominator is not contained in the numerator")
         self.num = num
         self.den = den
-
-
-def module_quotient_presentation(ring, num, den):
-    return CokernelSpec(num, den)
 
 
 class SummandType:
@@ -625,7 +605,7 @@ def minimal_resolution(ring, target, max_ideal, depth=DEFAULT_DEPTH, table=None)
         table = TypeTable(ring, max_ideal)
     elif table.ring is not ring:
         raise ValueError(f"type table is over {table.ring.name}, not {ring.name}")
-    elif not module_equal(max_ideal, table.max_ideal):
+    elif max_ideal != table.max_ideal:
         raise ValueError("type table is for another maximal ideal")
     if isinstance(target, CokernelSpec):
         num, den = target.num, target.den
@@ -704,16 +684,6 @@ def _first_repeat(keys):
             return (seen[key] + 1, i - seen[key])
         seen[key] = i
     return None
-
-
-def pd_report(ring, target, max_ideal, depth=DEFAULT_DEPTH):
-    """Projective-dimension verdict: ("exact", k) or ("at_least", depth).
-
-    "at_least" is an honest lower bound, never upgraded to infinity; use
-    minimal_resolution for the full Betti data.
-    """
-    res = minimal_resolution(ring, target, max_ideal, depth)
-    return res.verdict
 
 
 def is_projective(ring, target, max_ideal):

@@ -173,10 +173,6 @@ class FiniteRing:
             out.append(q % o)
         return tuple(out)
 
-    def structurally_equal(self, other):
-        return (self.char == other.char and self.orders == other.orders
-                and self.tensor == other.tensor and self.unit == other.unit)
-
 
 def derived_ring(ring, orders, lifts, read, prefix, name):
     """A quotient or subring of `ring`, by transport of structure.

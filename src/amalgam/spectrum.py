@@ -24,7 +24,7 @@ from .znlinalg import ZnMatrix, howell_from_rows, kernel, span_builder
 from .rings import (DEFAULT_MAX_ORDER, BudgetExceededError,
                     RingConstructionError, RingHom, derived_ring)
 from .abgroups import quotient_decomposition
-from .modules import Ideal, NotLocalError, ideal_span, syzygy
+from .modules import Ideal, ideal_span, syzygy
 
 
 def prime_factors(n):
@@ -252,19 +252,3 @@ def _is_local(r):
     for i, img in enumerate(_frobenius(r, p)):
         rows.append([(c - (k == i)) % p for k, c in enumerate(img)])
     return d - len(howell_from_rows(p, rows, d).rows) == 1
-
-
-def residue_field(r):
-    """Quotient by the maximal ideal, with the projection.
-
-    A reduced local finite ring is a field, so the quotient needs no check.
-    """
-    local, mx = is_local(r)
-    if not local:
-        raise NotLocalError(f"{r.name} is not local")
-    return quotient_ring(r, mx)
-
-
-def is_field(r):
-    local, mx = is_local(r)
-    return local and mx.size() == 1

@@ -93,23 +93,16 @@ class ZnMatrix:
         flat = [e for r in row_list for e in r]
         return cls(modulus, len(row_list), cols, flat)
 
-    @classmethod
-    def identity(cls, modulus, n):
-        return cls.from_rows(modulus, [[1 if i == j else 0 for j in range(n)] for i in range(n)], n)
-
     def row(self, i):
         c = self.cols
         return self.entries[i * c:(i + 1) * c]
-
-    def row_list(self):
-        return [list(self.row(i)) for i in range(self.rows)]
 
     def mul(self, other):
         if self.modulus != other.modulus or self.cols != other.rows:
             raise DimensionMismatch("matrix product shape/modulus mismatch")
         n = self.modulus
         out = []
-        orows = other.row_list()
+        orows = [other.row(k) for k in range(other.rows)]
         for i in range(self.rows):
             ri = self.row(i)
             acc = [0] * other.cols
@@ -120,25 +113,6 @@ class ZnMatrix:
                         acc[j] += a * rk[j]
             out.append([x % n for x in acc])
         return ZnMatrix.from_rows(n, out, other.cols)
-
-    def add(self, other):
-        if (self.modulus, self.rows, self.cols) != (other.modulus, other.rows, other.cols):
-            raise DimensionMismatch("matrix sum shape/modulus mismatch")
-        n = self.modulus
-        return ZnMatrix(n, self.rows, self.cols,
-                        [(a + b) % n for a, b in zip(self.entries, other.entries)])
-
-    def __eq__(self, other):
-        if not isinstance(other, ZnMatrix):
-            return NotImplemented
-        return (self.modulus, self.rows, self.cols, self.entries) == \
-               (other.modulus, other.rows, other.cols, other.entries)
-
-    def __hash__(self):
-        return hash((self.modulus, self.rows, self.cols, self.entries))
-
-    def __repr__(self):
-        return f"ZnMatrix(mod {self.modulus}, {self.rows}x{self.cols}, {self.row_list()})"
 
 
 class HowellBasis:
@@ -408,11 +382,6 @@ def howell_from_rows(modulus, rows, ncols):
     return b.basis()
 
 
-def howell(m):
-    """Canonical Howell basis of the row span of m."""
-    return howell_from_rows(m.modulus, m.row_list(), m.cols)
-
-
 def _augmented_howell(m):
     """Howell form of [m | I]: its rows span the pairs (x*m, x)."""
     n, r, c = m.modulus, m.rows, m.cols
@@ -489,24 +458,3 @@ class Solver:
         if any(v):
             return None
         return x
-
-
-def solve(m, b):
-    """Deterministic solution x of x*m = b, or None: Solver(m).solve(b)."""
-    return Solver(m).solve(list(b))
-
-
-def span_contains(h, v):
-    if not isinstance(h, HowellBasis):
-        raise TypeError("span_contains expects a HowellBasis")
-    return h.contains(list(v))
-
-
-def span_equal(h1, h2):
-    if h1.modulus != h2.modulus or h1.ambient != h2.ambient:
-        raise DimensionMismatch("span_equal across different modulus/ambient")
-    return h1.rows == h2.rows
-
-
-def span_size(h):
-    return h.span_size()

@@ -1,7 +1,8 @@
-"""Brute-force oracles shared across the test suite.
+"""Brute-force oracles and plain restatements shared across the test suite.
 
-Everything here works by exhaustive enumeration and is deliberately
-independent of the Howell/span machinery it cross-checks.
+The oracles work by exhaustive enumeration and are deliberately
+independent of the Howell/span machinery they cross-check; the
+restatements compute a definition directly from a ring's stored data.
 """
 
 from itertools import product as iproduct
@@ -55,6 +56,19 @@ def dense_action_rows(ring, slots):
             row.extend(c * (ring.char // o) for c, o in zip(prod, ring.orders))
         rows.append(row)
     return rows
+
+
+def structurally_equal(r, s):
+    """Two rings with the same structure constants: same characteristic,
+    basis orders, multiplication tensor and unit."""
+    return (r.char == s.char and r.orders == s.orders
+            and r.tensor == s.tensor and r.unit == s.unit)
+
+
+def second_component(am, elem):
+    """The B-coordinate f(a) + j of an element (a, f(a) + j) of A |><|^f J."""
+    a_elem, j_elem = am.decompose(elem)
+    return am.f(a_elem) + j_elem
 
 
 def brute_span(modulus, rows):

@@ -25,7 +25,9 @@ from amalgam.checks import (
 from amalgam.amalgam import duplication
 from amalgam.modules import ideal_span, syzygy
 from amalgam.rings import product, trunc_poly, zmod
-from amalgam.spectrum import idempotents, is_local
+from amalgam.spectrum import idempotents, is_local, quotient_ring
+
+from oracles import second_component, structurally_equal
 
 
 INSTANCES = standard_instances()
@@ -322,18 +324,18 @@ def test_amalgamation_closure_against_pair_arithmetic():
         elems = list(am.ring.elements())
         for x in elems:
             ax, bx = am.decompose(x)
-            sx = am.second_component(x)
+            sx = second_component(am, x)
             for y in elems:
                 ay, by = am.decompose(y)
-                sy = am.second_component(y)
+                sy = second_component(am, y)
                 z = x * y
                 az, _ = am.decompose(z)
                 assert az == ax * ay
-                assert am.second_component(z) == sx * sy
+                assert second_component(am, z) == sx * sy
                 w = x + y
                 aw, _ = am.decompose(w)
                 assert aw == ax + ay
-                assert am.second_component(w) == sx + sy
+                assert second_component(am, w) == sx + sy
 
 
 def test_image_plus_j_examples():
@@ -362,7 +364,7 @@ def test_duplication_equals_amalgamation_along_identity():
     i2 = ideal_span(z4, [z4.from_int(2)])
     dup = duplication(z4, i2)
     amal = amalgamation(z4, z4, RingHom.identity(z4), i2)
-    assert dup.ring.structurally_equal(amal.ring)
+    assert structurally_equal(dup.ring, amal.ring)
     assert dup.mj.basis == amal.mj.basis
     assert dup.zero_j.basis == amal.zero_j.basis
 
@@ -414,9 +416,8 @@ def test_select_generators_is_nakayama_when_local_and_greedy_otherwise():
 
 
 def test_residue_field_of_duplication():
-    from amalgam.spectrum import residue_field
     dup = INSTANCES["dup_z4"]
-    field, pi = residue_field(dup.ring)
+    field, pi = quotient_ring(dup.ring, dup.ring_local()[1])
     assert field.order() == 2
     assert pi(dup.ring.one()) == field.one()
 

@@ -19,15 +19,13 @@ from amalgam.rings import (
 )
 from amalgam.amalgam import duplication, hom_power, ring_power
 from amalgam.instances import standard_instances
-from amalgam.modules import NotLocalError, basis_action_rows, ideal_span
+from amalgam.modules import basis_action_rows, ideal_span
 from amalgam.spectrum import (
     idempotents,
-    is_field,
     is_local,
     maximal_ideals,
     nilradical,
     quotient_ring,
-    residue_field,
 )
 
 
@@ -42,7 +40,8 @@ def test_zmod_shapes():
     assert verify_ring(z4).ok
     assert is_local(z4)[0]
     z2 = zmod(2)
-    assert is_field(z2)
+    local, mx = is_local(z2)
+    assert local and mx.size() == 1  # Z/2 is a field
     z6 = zmod(6)
     assert not is_local(z6)[0]
     assert len(maximal_ideals(z6)) == 2
@@ -230,10 +229,8 @@ def test_residue_field_against_bruteforce(instances):
     for ring in _locality_rings(instances):
         local, mx = is_local(ring)
         if not local:
-            with pytest.raises(NotLocalError):
-                residue_field(ring)
             continue
-        field, pi = residue_field(ring)
+        field, pi = quotient_ring(ring, mx)
         assert field.order() * mx.size() == ring.order(), ring.name
         assert brute_is_field(field), ring.name
         assert all(pi(x).is_zero() for x in mx.element_rows()), ring.name
@@ -248,7 +245,6 @@ def test_is_local_of_a_product_of_fields_past_the_budget():
         ring = product(ring, zmod(2))
     assert ring.order() == 2 ** 17
     assert is_local(ring) == (False, None)
-    assert not is_field(ring)
     with pytest.raises(BudgetExceededError):
         maximal_ideals(ring)
 
@@ -274,7 +270,7 @@ def test_maximal_ideals_budget_and_crt():
 
 def test_quotient_ring_and_residue_field():
     z4 = zmod(4)
-    f, pi = residue_field(z4)
+    f, pi = quotient_ring(z4, is_local(z4)[1])
     assert f.order() == 2
     assert pi(z4.from_int(2)).is_zero()
     assert pi(z4.from_int(3)) == f.one()
@@ -297,7 +293,7 @@ def test_quotient_by_unit_ideal_rejected():
 def test_residue_field_of_duplication_ready_ring():
     r = zmod(4)
     a = trivial_extension(r, ModuleSpec(r, [2], [[[1]]]))
-    f, pi = residue_field(a)
+    f, pi = quotient_ring(a, is_local(a)[1])
     assert f.order() == 2
 
 

@@ -1,4 +1,4 @@
-"""Howell substrate tests: canonical forms, kernels, solve, span arithmetic.
+"""Howell substrate tests: canonical forms, kernels, solve, span membership.
 
 Every nontrivial expectation is cross-checked against brute-force
 enumeration of the span, which is feasible for the small moduli and
@@ -17,86 +17,84 @@ from amalgam.znlinalg import (
     ZnMatrix,
     _Gf2Builder,
     _GenericBuilder,
-    howell,
     howell_from_rows,
     kernel,
-    solve,
     span_builder,
-    span_contains,
-    span_equal,
-    span_size,
 )
 
 from oracles import brute_left_kernel, brute_solve, brute_span, enumerate_span
 
 
 def test_howell_already_canonical():
-    h = howell(ZnMatrix.from_rows(4, [[2]]))
+    h = howell_from_rows(4, [[2]], 1)
     assert h.rows == ((2,),)
 
 
 def test_howell_two_rows_z4():
-    h = howell(ZnMatrix.from_rows(4, [[1, 2], [0, 2]]))
+    h = howell_from_rows(4, [[1, 2], [0, 2]], 2)
     assert h.rows == ((1, 0), (0, 2))
     # same span as the input, confirmed by enumeration
     assert brute_span(4, [[1, 2], [0, 2]]) == brute_span(4, [list(r) for r in h.rows])
 
 
 def test_howell_zero_matrix():
-    h = howell(ZnMatrix.from_rows(6, [[0, 0], [0, 0]]))
+    h = howell_from_rows(6, [[0, 0], [0, 0]], 2)
     assert h.rows == ()
-    assert span_size(h) == 1
+    assert h.span_size() == 1
 
 
 def test_howell_saturation_z4():
     # span of (1,2) over Z/4 contains (0,2)*... the Howell form must expose
     # the element 2*(1,2) = (2,0) with leading zero structure handled.
-    h = howell(ZnMatrix.from_rows(4, [[1, 2]]))
+    h = howell_from_rows(4, [[1, 2]], 2)
     assert brute_span(4, [[1, 2]]) == enumerate_span(h)
 
 
 def test_kernel_examples():
     k = kernel(ZnMatrix.from_rows(4, [[2]]))
     assert k.rows == ((2,),)
-    k = kernel(ZnMatrix.identity(4, 2))
+    k = kernel(ZnMatrix.from_rows(4, [[1, 0], [0, 1]]))
     assert k.rows == ()
     k = kernel(ZnMatrix.from_rows(4, [[0]]))
     assert k.rows == ((1,),)
 
 
 def test_solve_examples():
-    m = ZnMatrix.from_rows(4, [[2]])
-    assert solve(m, [2]) == (1,)
-    assert solve(m, [1]) is None
-    ident = ZnMatrix.identity(5, 3)
-    assert solve(ident, [3, 1, 4]) == (3, 1, 4)
+    solver = Solver(ZnMatrix.from_rows(4, [[2]]))
+    assert solver.solve([2]) == (1,)
+    assert solver.solve([1]) is None
+    ident = ZnMatrix.from_rows(5, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    assert Solver(ident).solve([3, 1, 4]) == (3, 1, 4)
     with pytest.raises(DimensionMismatch):
-        solve(m, [1, 2])
+        solver.solve([1, 2])
 
 
 def test_span_membership_and_size():
-    h = howell(ZnMatrix.from_rows(4, [[2]]))
-    assert span_contains(h, [0])
-    assert span_contains(h, [2])
-    assert not span_contains(h, [1])
-    assert span_size(h) == 2
+    h = howell_from_rows(4, [[2]], 1)
+    assert h.contains([0])
+    assert h.contains([2])
+    assert not h.contains([1])
+    assert h.span_size() == 2
 
 
 def test_span_equal_requires_matching_frame():
-    h1 = howell(ZnMatrix.from_rows(4, [[2]]))
-    h2 = howell(ZnMatrix.from_rows(6, [[2]]))
+    # the same rows over another modulus span another module
+    h1 = howell_from_rows(4, [[2]], 1)
+    h2 = howell_from_rows(6, [[2]], 1)
+    assert h1.rows == h2.rows
+    assert h1 != h2
     with pytest.raises(DimensionMismatch):
-        span_equal(h1, h2)
+        h1.contains([2, 0])
 
 
 def test_span_equal_example():
-    h1 = howell(ZnMatrix.from_rows(4, [[1, 2], [0, 2]]))
-    h2 = howell(ZnMatrix.from_rows(4, [[1, 0], [0, 2]]))
-    assert span_equal(h1, h2)
+    h1 = howell_from_rows(4, [[1, 2], [0, 2]], 2)
+    h2 = howell_from_rows(4, [[1, 0], [0, 2]], 2)
+    assert h1 == h2
 
 
-def random_matrix(rng, n, r, c):
-    return ZnMatrix.from_rows(n, [[rng.randrange(n) for _ in range(c)] for _ in range(r)])
+def random_rows(rng, n, r, c):
+    return [[rng.randrange(n) for _ in range(c)] for _ in range(r)]
 
 
 @pytest.mark.parametrize("modulus", [2, 3, 4, 6, 8, 9])
@@ -104,13 +102,14 @@ def test_canonicity_against_enumeration(modulus):
     rng = random.Random(1000 + modulus)
     for _ in range(40):
         r, c = rng.randint(1, 3), rng.randint(1, 3)
-        m1 = random_matrix(rng, modulus, r, c)
-        m2 = random_matrix(rng, modulus, rng.randint(1, 3), c)
-        h1, h2 = howell(m1), howell(m2)
-        same_brute = brute_span(modulus, m1.row_list()) == brute_span(modulus, m2.row_list())
+        rows1 = random_rows(rng, modulus, r, c)
+        rows2 = random_rows(rng, modulus, rng.randint(1, 3), c)
+        h1 = howell_from_rows(modulus, rows1, c)
+        h2 = howell_from_rows(modulus, rows2, c)
+        same_brute = brute_span(modulus, rows1) == brute_span(modulus, rows2)
         assert same_brute == (h1 == h2)
-        assert enumerate_span(h1) == brute_span(modulus, m1.row_list())
-        assert span_size(h1) == len(brute_span(modulus, m1.row_list()))
+        assert enumerate_span(h1) == brute_span(modulus, rows1)
+        assert h1.span_size() == len(brute_span(modulus, rows1))
 
 
 @pytest.mark.parametrize("modulus", [2, 3, 4, 6, 8, 9])
@@ -118,11 +117,13 @@ def test_kernel_against_enumeration(modulus):
     rng = random.Random(2000 + modulus)
     for _ in range(40):
         r, c = rng.randint(1, 3), rng.randint(1, 3)
-        m = random_matrix(rng, modulus, r, c)
+        rows = random_rows(rng, modulus, r, c)
+        m = ZnMatrix.from_rows(modulus, rows)
         k = kernel(m)
         assert enumerate_span(k) == brute_left_kernel(m)
         # |rowspace| * |left kernel| = N^rows
-        assert span_size(k) * span_size(howell(m)) == modulus ** r
+        assert (k.span_size() * howell_from_rows(modulus, rows, c).span_size()
+                == modulus ** r)
 
 
 @pytest.mark.parametrize("modulus", [2, 3, 4, 6, 8, 9])
@@ -130,10 +131,11 @@ def test_solve_matches_membership(modulus):
     rng = random.Random(3000 + modulus)
     for _ in range(40):
         r, c = rng.randint(1, 3), rng.randint(1, 3)
-        m = random_matrix(rng, modulus, r, c)
+        rows = random_rows(rng, modulus, r, c)
+        m = ZnMatrix.from_rows(modulus, rows)
         b = [rng.randrange(modulus) for _ in range(c)]
-        x = solve(m, b)
-        member = span_contains(howell(m), b)
+        x = Solver(m).solve(b)
+        member = howell_from_rows(modulus, rows, c).contains(b)
         assert (x is not None) == member
         if x is not None:
             acc = [0] * c
@@ -145,16 +147,15 @@ def test_solve_matches_membership(modulus):
 
 def test_solve_returns_lex_smallest():
     # every solution of x*[[2]] = [2] over Z/4 is 1 or 3; canonical pick is 1
-    m = ZnMatrix.from_rows(4, [[2]])
-    assert solve(m, [2]) == (1,)
+    assert Solver(ZnMatrix.from_rows(4, [[2]])).solve([2]) == (1,)
     # exhaustive: canonical representative is minimal in its coset
     rng = random.Random(99)
     for _ in range(30):
         n = rng.choice([4, 6, 8])
         r, c = rng.randint(1, 3), rng.randint(1, 2)
-        mm = random_matrix(rng, n, r, c)
+        mm = ZnMatrix.from_rows(n, random_rows(rng, n, r, c))
         b = [rng.randrange(n) for _ in range(c)]
-        x = solve(mm, b)
+        x = Solver(mm).solve(b)
         if x is None:
             continue
         all_solutions = []
@@ -229,7 +230,7 @@ def test_howell_form_is_canonical_on_both_engines(matrix, data):
     h = howell_from_rows(n, rows, len(rows[0]))
     span = brute_span(n, _reduced(n, rows))
     assert enumerate_span(h) == span
-    assert span_size(h) == len(span)
+    assert h.span_size() == len(span)
     # Howell shape: increasing pivots dividing N, entries above reduced
     cols = [j for j, _ in h.pivots]
     assert cols == sorted(set(cols))
@@ -265,7 +266,8 @@ def test_kernel_matches_the_oracle_on_both_engines(matrix):
     k = kernel(m)
     assert enumerate_span(k) == brute_left_kernel(m)
     assert k == howell_from_rows(n, k.rows, m.rows)
-    assert span_size(k) * span_size(howell(m)) == n ** m.rows
+    assert (k.span_size() * howell_from_rows(n, rows, m.cols).span_size()
+            == n ** m.rows)
 
 
 @settings(max_examples=150, deadline=None)
@@ -279,7 +281,7 @@ def test_solve_matches_the_oracle_on_both_engines(matrix, data):
     else:
         b = tuple(data.draw(st.lists(st.integers(0, n - 1), min_size=m.cols,
                                      max_size=m.cols)))
-    x = solve(m, b)
+    x = Solver(m).solve(b)
     assert (x is not None) == (b in span)
     if x is not None:
         image = [sum(xi * m.row(i)[j] for i, xi in enumerate(x)) % n
@@ -304,6 +306,6 @@ def test_one_solver_serves_many_right_hand_sides(matrix, data):
     rhs = data.draw(st.lists(st.one_of(st.sampled_from(span), anything),
                              min_size=1, max_size=8))
     for b in rhs:
-        assert solver.solve(b) == brute_solve(m, b) == solve(m, b)
+        assert solver.solve(b) == brute_solve(m, b)
     with pytest.raises(DimensionMismatch):
         solver.solve([0] * (m.cols + 1))
