@@ -338,11 +338,12 @@ class SummandType:
     (the rows of the next differential), components, the connected slot
     components of syz_gens as (slots, child key), and children, the Counter
     of child keys.  Children are named by key, never by object, so the type
-    graph, self-loops included, holds no reference cycle.
+    graph, self-loops included, holds no reference cycle.  _checked holds
+    issues()'s last check: the data it read and the violations it found.
     """
 
     __slots__ = ("key", "module", "gens", "den", "syz", "syz_gens",
-                 "components", "children")
+                 "components", "children", "_checked")
 
     def __init__(self, module, gens, den=None, key=None):
         self.key = key
@@ -350,6 +351,7 @@ class SummandType:
         self.gens = tuple(gens)
         self.den = den
         self.syz = self.syz_gens = self.components = self.children = None
+        self._checked = None
 
     def resolve(self, table):
         """Fill in syz, syz_gens, components and children on table.  syz
@@ -373,7 +375,17 @@ class SummandType:
         self.children = Counter(key for _, key in self.components)
 
     def issues(self, max_ideal, where, cover):
-        """Violations of the type's own data (see Resolution.validate)."""
+        """Violations of the type's own data (see Resolution.validate), each
+        labelled with where.  The check is a pure function of data, every
+        field it reads, so it reruns only when data has changed."""
+        data = (max_ideal, cover, self.key, self.module, self.gens, self.den,
+                self.syz, _frozen(self.syz_gens), _frozen(self.components),
+                None if self.children is None else frozenset(self.children.items()))
+        if self._checked is None or self._checked[0] != data:
+            self._checked = (data, self._violations(max_ideal, cover))
+        return [f"{where}: {msg}" for msg in self._checked[1]]
+
+    def _violations(self, max_ideal, cover):
         ring = self.module.ring
         mu = len(self.gens)
         span_gens = list(self.gens)
@@ -381,56 +393,60 @@ class SummandType:
             span_gens += self.den.rows_as_vectors()
         bad = []
         if self.key is not None and self.module.basis != self.key:
-            bad.append(f"{where}: the module is not the one its key names")
+            bad.append("the module is not the one its key names")
         if submodule_span(ring, self.module.p, span_gens).basis != self.module.basis:
-            bad.append(f"{where}: generators do not span the module")
+            bad.append("generators do not span the module")
         if self.syz is None:
             return bad
         for row in self.syz_gens:
             image = _combine(ring, row, self.gens, self.module.p)
             if any(image) and (self.den is None
                                or not self.den.basis.contains(image)):
-                bad.append(f"{where}: d o d != 0")
+                bad.append("d o d != 0")
                 break
         if not all(max_ideal.contains_element(e)
                    for row in self.syz_gens for e in row if not e.is_zero()):
-            bad.append(f"{where}: a differential entry lies outside the maximal ideal")
+            bad.append("a differential entry lies outside the maximal ideal")
         if submodule_span(ring, mu, self.syz_gens).basis != self.syz.basis:
-            bad.append(f"{where}: the differential rows do not span the kernel")
+            bad.append("the differential rows do not span the kernel")
         image_size = self.module.size()
         if self.den is not None:
             image_size //= self.den.size()
         if self.syz.size() * image_size != ring.order() ** mu:
-            bad.append(f"{where}: cardinality bookkeeping fails")
-        return bad + self._split_issues(where, cover)
+            bad.append("cardinality bookkeeping fails")
+        return bad + self._split_issues(cover)
 
-    def _split_issues(self, where, cover):
+    def _split_issues(self, cover):
         ring = self.module.ring
         mu = len(self.gens)
         owner = {}
         for n, (slots, _) in enumerate(self.components):
             for s in slots:
                 if s in owner or not 0 <= s < mu:
-                    return [f"{where}: component slots overlap or fall outside R^{mu}"]
+                    return [f"component slots overlap or fall outside R^{mu}"]
                 owner[s] = n
         if cover and len(owner) != mu:
-            return [f"{where}: components do not cover R^{mu}"]
+            return [f"components do not cover R^{mu}"]
         groups = [[] for _ in self.components]
         for row in self.syz_gens:
             support = {s for s, e in enumerate(row) if not e.is_zero()}
             homes = {owner.get(s) for s in support}
             if len(homes) != 1 or None in homes:
-                return [f"{where}: a kernel generator straddles components"]
+                return ["a kernel generator straddles components"]
             groups[homes.pop()].append(row)
         for (slots, key), group in zip(self.components, groups):
             restricted = [tuple(row[s] for s in slots) for row in group]
             if submodule_span(ring, len(slots), restricted).basis != key:
-                return [f"{where}: a component does not span its summand type"]
+                return ["a component does not span its summand type"]
         if prod(key.span_size() for _, key in self.components) != self.syz.size():
-            return [f"{where}: the components do not sum to the kernel"]
+            return ["the components do not sum to the kernel"]
         if self.children != Counter(key for _, key in self.components):
-            return [f"{where}: child multiplicities disagree with the components"]
+            return ["child multiplicities disagree with the components"]
         return []
+
+
+def _frozen(items):
+    return None if items is None else tuple(items)
 
 
 def _combine(ring, coeffs, gens, p):
@@ -497,13 +513,13 @@ class TypeTable:
 
     def key_of(self, basis, k, vectors):
         """The key equal to basis, the canonical basis of span(vectors) in
-        R^k, filing a new type (gens from its rows) on first sight."""
+        R^k, filing a new type on first sight.  vectors, the Nakayama
+        generators of a split syzygy in one component, are its gens: the
+        split is a direct sum, so that is the greedy scan of the key's rows."""
         t = self.types.get(basis)
         if t is None:
-            module = Submodule(self.ring, k, basis, vectors)
-            gens = minimal_generators(module, self.max_ideal,
-                                      gens=module.rows_as_vectors())
-            t = self.types[basis] = SummandType(module, gens, key=basis)
+            t = self.types[basis] = SummandType(
+                Submodule(self.ring, k, basis, vectors), vectors, key=basis)
         return t.key
 
 
@@ -540,7 +556,7 @@ class Resolution:
     # -- validity -------------------------------------------------------------
 
     def validate(self):
-        """Re-check the resolution type by type; returns the violations.
+        """Check the resolution type by type; returns the violations.
 
         For the target and for every reached summand type T, once: T's
         module is the one its key names, the generators span T (modulo
@@ -550,7 +566,8 @@ class Resolution:
         kernel splits exactly: component slots are disjoint (and cover R^mu
         below the target), each component spans its key and the component
         sizes multiply to |ker|.  Last, the multiplicities and Betti numbers
-        are recomputed from the children.
+        are recomputed from the children.  A type checked before on
+        identical data, by any validation, is not checked again.
         """
         mx = self.max_ideal
         bad = self.root.issues(mx, "target", cover=False)

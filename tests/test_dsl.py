@@ -4,6 +4,8 @@ import hashlib
 import inspect
 import json
 import os
+import random
+import re
 import subprocess
 import sys
 
@@ -12,7 +14,8 @@ import pytest
 from amalgam import checks, cli, dsl, spectrum
 from amalgam.dsl import DslSemanticError, DslSyntaxError, parse, serialize
 from amalgam.report import Report, input_digest
-from amalgam.rings import BudgetExceededError, trunc_poly, verify_ring, zmod
+from amalgam.rings import (BudgetExceededError, FiniteRing, trunc_poly,
+                           verify_ring, zmod)
 
 from oracles import structurally_equal
 
@@ -664,6 +667,39 @@ def test_a_coordinate_row_of_the_wrong_length_fails_to_build(
     assert (record["status"], record["reason"]) == ("fail", reason)
 
 
+def _rank3(products):
+    """The table of a rank-3 ring from its products b_i b_j, row by row."""
+    basis = {"b0": [1, 0, 0], "b1": [0, 1, 0], "b2": [0, 0, 1], "0": [0, 0, 0]}
+    return [basis[p] for p in products.split()]
+
+
+# Each table breaks one axiom only.
+# F2 b0 + F2 b1 + F2 b2, commutative with unit b0, b1^2 = b2, b1 b2 = 0 and
+# b2^2 = b1: (b1 b1) b2 = b1 but b1 (b1 b2) = 0.  The upper-triangular
+# 2 x 2 matrices over F2, b0, b1, b2 = e11, e12, e22: associative with unit
+# e11 + e22, but e11 e12 = e12 and e12 e11 = 0.  (Z/4) b0 + (Z/2) b1 with
+# b1^2 = b0: 2 b1 = 0 but 2 b1^2 = 2 b0 is not.
+@pytest.mark.parametrize("kind, char, orders, unit, tensor", [
+    ("associativity", 2, [2, 2, 2], [1, 0, 0],
+     _rank3("b0 b1 b2  b1 b2 0  b2 0 b1")),
+    ("commutativity", 2, [2, 2, 2], [1, 0, 1],
+     _rank3("b0 b1 0  0 0 b1  0 0 b2")),
+    ("order", 4, [4, 2], [1, 0], [[1, 0], [0, 1], [0, 1], [1, 0]]),
+])
+def test_a_table_that_breaks_one_axiom_fails_to_build(
+        capsys, tmp_path, kind, char, orders, unit, tensor):
+    d = len(orders)
+    ring = FiniteRing(char, orders, [tensor[i:i + d] for i in range(0, d * d, d)],
+                      unit)
+    assert {k for k, _, _ in verify_ring(ring).failures} == {kind}
+    code, record = _construct_record(
+        capsys, tmp_path, f"X = table({char}, {orders}, {unit}, {tensor})\n"
+                          "job ringcheck(X)\n")
+    assert code == 1 and record["status"] == "fail"
+    assert record["reason"].startswith(
+        f"structure constants are not a ring: ('{kind}', ")
+
+
 def test_verify_of_an_unknown_job_is_an_input_error(capsys):
     assert run_cli(["verify", corpus_path("duplication_z4.ring"),
                     "--job", "dance"]) == 2
@@ -688,3 +724,48 @@ def test_a_submodule_needs_an_ambient_rank_of_at_least_1(capsys, tmp_path):
     assert code == 1
     assert record["reason"] == (
         "argument 2: expected a count of at least 1, got -1")
+
+
+_NUMBER = re.compile(r"-?\d+")
+
+
+def _mutant(text, rng):
+    """text with one seeded edit: a number changed or bracketed, or a
+    character or line dropped or inserted."""
+    numbers = list(_NUMBER.finditer(text))
+    lines = text.split("\n")
+    op = rng.choice(["number", "bracket", "drop_char", "insert_char",
+                     "drop_line", "insert_line"])
+    if op in ("number", "bracket"):
+        m = rng.choice(numbers)
+        new = (str(rng.choice([-1, 0, 1, 2, 3, 5, 8, 64])) if op == "number"
+               else f"[{m.group()}]")
+        return text[:m.start()] + new + text[m.end():]
+    if op == "drop_char":
+        i = rng.randrange(len(text))
+        return text[:i] + text[i + 1:]
+    if op == "insert_char":
+        i = rng.randrange(len(text) + 1)
+        return text[:i] + rng.choice("()[],=-#x0123456789 \n") + text[i:]
+    if op == "drop_line":
+        del lines[rng.randrange(len(lines))]
+    else:
+        lines.insert(rng.randrange(len(lines) + 1), rng.choice(lines))
+    return "\n".join(lines)
+
+
+def test_mutated_corpus_files_give_an_exit_code_and_no_exception(
+        capsys, tmp_path):
+    # bad input gives exit 2 with a diagnostic, never a traceback
+    rng = random.Random(0)
+    names = ("duplication_z4", "idealization_tower", "truncation_t3",
+             "duplication_mixed_orders")
+    texts = [corpus_text(f"{name}.ring") for name in names]
+    path = tmp_path / "mutant.ring"
+    codes = set()
+    for n in range(60):
+        path.write_text(_mutant(texts[n % len(texts)], rng))
+        codes.add(run_cli(["check", str(path), "--depth", "2",
+                           "--max-order", "256"]))
+        capsys.readouterr()
+    assert codes == {0, 1, 2}

@@ -230,6 +230,47 @@ def test_pd_reports():
     assert global_dimension_signature(z5, mx5, depth=8).verdict == ("exact", 0)
 
 
+def _every_ideal(ring):
+    """The principal ideals of a finite ring, closed under sums."""
+    ideals = {}
+    for x in ring.elements():
+        ideal = ideal_span(ring, [x])
+        ideals.setdefault(ideal.basis, ideal)
+    frontier = list(ideals.values())
+    while frontier:
+        new = []
+        for a in frontier:
+            for b in list(ideals.values()):
+                joined = ideal_sum(a, b)
+                if joined.basis not in ideals:
+                    ideals[joined.basis] = joined
+                    new.append(joined)
+        frontier = new
+    return list(ideals.values())
+
+
+@pytest.mark.parametrize("name", ["dup_z4", "tower_dim1", "tower_dim2",
+                                  "trunc_t3", "trunc_t4"])
+def test_every_cyclic_quotient_obeys_auslander_buchsbaum(instances, name):
+    # a finite local ring has depth 0, so by Auslander-Buchsbaum a module
+    # of finite projective dimension is free, and R/I (I proper) is free
+    # iff I = 0: every other quotient resolves past any depth
+    inst = instances[name]
+    ring = inst.ring
+    assert ring.order() <= 64
+    _, mx = inst.ring_local()
+    table = TypeTable(ring, mx)
+    whole = submodule_span(ring, 1, [(ring.one(),)])
+    proper = [i for i in _every_ideal(ring) if i.is_proper()]
+    assert any(i.is_zero() for i in proper) and len(proper) > 2
+    for ideal in proper:
+        res = minimal_resolution(ring, CokernelSpec(whole, ideal), mx, 4,
+                                 table=table)
+        assert res.verdict == (("exact", 0) if ideal.is_zero()
+                               else ("at_least", 4))
+        assert res.validate() == []
+
+
 def test_zero_j_module_resolution_positive_betti():
     obj = dup_ring()
     r = obj.ring
@@ -296,59 +337,71 @@ def test_engine_agrees_with_dense_oracle_on_random_submodules(data):
     _assert_matches_dense(ring, target, mx, data.draw(st.integers(0, 4)))
 
 
-def _resolved_type(depth=3):
-    # a fresh bundle and no table: the mutations below stay in this test
-    obj = dup_ring()
-    _, mx = is_local(obj.ring)
-    res = minimal_resolution(obj.ring, obj.mj, mx, depth=depth)
-    assert res.validate() == []
-    return res, next(t for t in res.types if t.syz is not None)
+def _corruptible():
+    """(res, t, label) twice: t is the first resolved type of a resolution
+    of mj on a fresh table, and res the resolution that must report t's
+    corruption under label, res's name for t.  res is that resolution
+    again, then R/(2) resolved on the same table, which reaches t as its
+    type 1.  Both resolutions are validated before the caller corrupts t,
+    so each report comes past a warm check memo."""
+    for case in ("revalidated", "second_resolution"):
+        obj = dup_ring()
+        ring = obj.ring
+        _, mx = is_local(ring)
+        table = TypeTable(ring, mx)
+        first = minimal_resolution(ring, obj.mj, mx, depth=3, table=table)
+        t = next(t for t in first.types if t.syz is not None)
+        whole = submodule_span(ring, 1, [(ring.one(),)])
+        two = ideal_span(ring, [ring.one() + ring.one()])
+        second = minimal_resolution(ring, CokernelSpec(whole, two), mx,
+                                    depth=3, table=table)
+        assert first.validate() == [] and second.validate() == []
+        assert first.types.index(t) == 0 and second.types.index(t) == 1
+        res = first if case == "revalidated" else second
+        yield res, t, f"type {res.types.index(t)}:"
 
 
 def test_validate_reports_a_corrupted_syzygy_generator():
-    res, t = _resolved_type()
-    row = list(t.syz_gens[0])
-    row[0] = row[0] + res.ring.one()
-    t.syz_gens[0] = tuple(row)
-    where = f"type {res.types.index(t)}:"
-    assert any(msg.startswith(where) for msg in res.validate())
+    for res, t, where in _corruptible():
+        row = list(t.syz_gens[0])
+        row[0] = row[0] + res.ring.one()
+        t.syz_gens[0] = tuple(row)
+        assert any(msg.startswith(where) for msg in res.validate())
 
 
 def test_validate_reports_a_corrupted_child_multiplicity():
-    res, t = _resolved_type()
-    child = next(iter(t.children))
-    t.children[child] += 1
-    issues = res.validate()
-    assert any("child multiplicities" in msg for msg in issues)
-    assert any("multiplicities disagree" in msg for msg in issues)
+    for res, t, where in _corruptible():
+        child = next(iter(t.children))
+        t.children[child] += 1
+        issues = res.validate()
+        assert f"{where} child multiplicities disagree with the components" in issues
+        assert any("multiplicities disagree" in msg for msg in issues)
 
 
 def test_validate_reports_a_corrupted_component_basis():
-    res, t = _resolved_type()
-    slots, _ = t.components[0]
-    t.components[0] = (slots, submodule_span(res.ring, len(slots), []).basis)
-    assert any("does not span its summand type" in msg for msg in res.validate())
+    for res, t, where in _corruptible():
+        slots, _ = t.components[0]
+        t.components[0] = (slots, submodule_span(res.ring, len(slots), []).basis)
+        assert f"{where} a component does not span its summand type" in res.validate()
 
 
 def test_validate_reports_a_corrupted_kernel():
     # R e_1 + R s e_2 with |Rs| = 2 has the size of the stored kernel
     # M e_1 + M e_2 (8 * 2 = 4 * 4) but is another submodule of R^2, so
     # only the span of the differential rows can tell them apart
-    res, t = _resolved_type()
-    ring = res.ring
-    s = next(x for x in ring.elements() if ideal_span(ring, [x]).size() == 2)
-    other = submodule_span(ring, 2, [(ring.one(), ring.zero()), (ring.zero(), s)])
-    assert len(t.gens) == 2 and other.size() == t.syz.size() and other != t.syz
-    t.syz = other
-    where = f"type {res.types.index(t)}:"
-    assert f"{where} the differential rows do not span the kernel" in res.validate()
+    for res, t, where in _corruptible():
+        ring = res.ring
+        s = next(x for x in ring.elements() if ideal_span(ring, [x]).size() == 2)
+        other = submodule_span(ring, 2, [(ring.one(), ring.zero()), (ring.zero(), s)])
+        assert len(t.gens) == 2 and other.size() == t.syz.size() and other != t.syz
+        t.syz = other
+        assert f"{where} the differential rows do not span the kernel" in res.validate()
 
 
 def test_validate_reports_a_type_filed_under_another_key():
-    res, t = _resolved_type()
-    t.module = submodule_span(res.ring, t.module.p, [])
-    where = f"type {res.types.index(t)}:"
-    assert f"{where} the module is not the one its key names" in res.validate()
+    for res, t, where in _corruptible():
+        t.module = submodule_span(res.ring, t.module.p, [])
+        assert f"{where} the module is not the one its key names" in res.validate()
 
 
 # -- one type table shared by every resolution over a ring -----------------------
@@ -572,6 +625,32 @@ def test_a_ringdsl_run_resolves_each_summand_type_once(monkeypatch, name):
     monkeypatch.setattr(SummandType, "resolve", counted)
     assert _check(name) == 0
     assert seen and max(seen.values()) == 1
+
+
+def _copied(x):
+    return None if x is None else type(x)(x)
+
+
+@pytest.mark.parametrize("name", ["duplication_z4", "idealization_tower",
+                                  "truncation_t3"])
+def test_a_ringdsl_run_checks_each_type_state_once(monkeypatch, name):
+    # betti's second resolution, thm31 and gldim validate types that an
+    # earlier job of the run validated; a type is checked again only when
+    # a field its check reads has changed since
+    checked = []
+    full = SummandType._violations
+
+    def counted(self, max_ideal, cover):
+        state = (max_ideal, cover, self.key, self.module, self.gens, self.den,
+                 self.syz, _copied(self.syz_gens), _copied(self.components),
+                 _copied(self.children))
+        assert not any(t is self and s == state for t, s in checked)
+        checked.append((self, state))
+        return full(self, max_ideal, cover)
+
+    monkeypatch.setattr(SummandType, "_violations", counted)
+    assert _check(name) == 0
+    assert checked
 
 
 def test_a_ringdsl_run_leaves_no_reference_cycle():
