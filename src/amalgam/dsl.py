@@ -39,7 +39,7 @@ JOBS = {
     "thm31": ("amalgam", "b_element", "depth", "types"),
     "thm34": ("amalgam", "a_element"),
     "gldim": ("ring", "depth", "types"),
-    "pd_profile": ("ring", "depth", "budget", "types"),
+    "pd_profile": ("ring", "depth", "budget"),
     "ringcheck": ("ring",), "resolve": ("submodule", "depth", "types"),
     "spectrum": ("ring", "budget"),
 }

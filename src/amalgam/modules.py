@@ -266,7 +266,11 @@ def minimal_generators(sub, max_ideal, gens=None, den=None):
     A candidate is redundant iff it lies in span(chosen) + M*X (+ den for
     quotient targets); the greedy filter in input order therefore returns a
     subset whose residue classes form a basis of X/(MX + den), so its size
-    is the Betti number and is independent of the scan order.
+    is the Betti number and is independent of the scan order.  M*X is
+    spanned by a*b over R-generators a of one side and basis rows b of the
+    other: M's rows times X's generators, or M's Nakayama generators (cached
+    on the ring; M is nilpotent, so they generate it) times X's rows,
+    whichever is fewer products.  Generators times generators miss R*a*b.
     """
     ring = sub.ring
     if gens is None:
@@ -276,19 +280,8 @@ def minimal_generators(sub, max_ideal, gens=None, den=None):
     if den is not None:
         for row in den.basis.rows:
             b.insert(list(row))
-    # M*X is spanned by m*x over the rows of M and any R-generating set of
-    # X, its generators when they are fewer than its rows; it is zero (and
-    # nothing is inserted) exactly when M annihilates X
-    if sub._generators is None or len(sub._generators) >= len(sub.basis.rows):
-        x_rows = [_coord_slots(ring, sub.p, row) for row in sub.basis.rows]
-    else:
-        x_rows = [[e.coords for e in g] for g in sub._generators]
-    for row in max_ideal.basis.rows:
-        m = ring.unscaled(row)
-        for x in x_rows:
-            prod_slots = [ring.mul_coords(m, e) for e in x]
-            if any(map(any, prod_slots)):
-                b.insert(_flat_scaled_coords(ring, prod_slots))
+    for row in _mx_rows(sub, max_ideal):
+        b.insert(row)
     chosen = []
     for g in gens:
         if vector_is_zero(g):
@@ -299,6 +292,34 @@ def minimal_generators(sub, max_ideal, gens=None, den=None):
         for row in basis_action_rows(ring, g):
             b.insert(row)
     return chosen
+
+
+def _mx_rows(sub, max_ideal):
+    """Scaled nonzero products spanning M*X (see minimal_generators)."""
+    ring, x_gens = sub.ring, sub._generators
+    m_rows, m_gens = max_ideal.basis.rows, _ideal_generators(max_ideal)
+    if x_gens is not None and (len(m_rows) * len(x_gens)
+                               < len(m_gens) * len(sub.basis.rows)):
+        ms = [ring.unscaled(row) for row in m_rows]
+        xs = [[e.coords for e in g] for g in x_gens]
+    else:
+        ms, xs = m_gens, [_coord_slots(ring, sub.p, row) for row in sub.basis.rows]
+    for m in ms:
+        for x in xs:
+            prod_slots = [ring.mul_coords(m, e) for e in x]
+            if any(map(any, prod_slots)):
+                yield _flat_scaled_coords(ring, prod_slots)
+
+
+def _ideal_generators(ideal):
+    """Coordinates of the ideal's Nakayama generators, cached on its ring.
+    Its basis rows stand in while its own selection runs."""
+    ring, key = ideal.ring, ("ideal_generators", ideal.basis)
+    if key not in ring._cache:
+        ring._cache[key] = tuple(ring.unscaled(row) for row in ideal.basis.rows)
+        ring._cache[key] = tuple(g[0].coords
+                                 for g in minimal_generators(ideal, ideal))
+    return ring._cache[key]
 
 
 def select_generators(sub, local, max_ideal):

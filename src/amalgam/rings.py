@@ -53,7 +53,7 @@ class FiniteRing:
     """
 
     __slots__ = ("char", "rank", "orders", "labels", "tensor", "unit",
-                 "name", "scale", "_cache")
+                 "name", "scale", "_cache", "__weakref__")
 
     def __init__(self, char, orders, tensor, unit, labels=None, name="R"):
         if char < 2 or char > MAX_MODULUS:

@@ -58,6 +58,21 @@ def dense_action_rows(ring, slots):
     return rows
 
 
+def product_span_basis(sub, max_ideal):
+    """Howell basis of M*X from every basis row of M times every basis row
+    of X: no generator choice on either side."""
+    from amalgam.znlinalg import howell_from_rows
+    ring, d = sub.ring, sub.ring.rank
+    rows = []
+    for m in max_ideal.basis.rows:
+        m = ring.unscaled(m)
+        for x in sub.basis.rows:
+            rows.append([c * s for k in range(sub.p)
+                         for c, s in zip(ring.mul_coords(
+                             m, ring.unscaled(x[k * d:(k + 1) * d])), ring.scale)])
+    return howell_from_rows(ring.char, rows, sub.p * d)
+
+
 def structurally_equal(r, s):
     """Two rings with the same structure constants: same characteristic,
     basis orders, multiplication tensor and unit."""
@@ -133,14 +148,10 @@ def is_nilpotent(x):
     return y.is_zero()
 
 
-def brute_maximal_ideals(r):
-    """All maximal ideals by closing principal ideals under sums.
-
-    Every ideal of a finite ring is a finite sum of principal ideals, so
-    the join closure of the principal ideals is the full ideal lattice;
-    maximal ideals are the maximal proper members.  Usable only for small
-    rings.
-    """
+def brute_ideals(r):
+    """Every ideal of a small ring, as a set of frozensets of coordinate
+    tuples, by closing the principal ideals under sums: every ideal of a
+    finite ring is a finite sum of principal ideals."""
     elems = list(r.elements())
     ideals = set()
     for x in elems:
@@ -157,8 +168,14 @@ def brute_maximal_ideals(r):
                     ideals.add(u)
                     new.append(u)
         frontier = new
-    full = frozenset(e.coords for e in elems)
-    proper = [s for s in ideals if s != full]
+    return ideals
+
+
+def brute_maximal_ideals(r):
+    """All maximal ideals: the maximal proper members of brute_ideals.
+    Usable only for small rings."""
+    full = frozenset(e.coords for e in r.elements())
+    proper = [s for s in brute_ideals(r) if s != full]
     return {s for s in proper if not any(s < t for t in proper)}
 
 

@@ -5,6 +5,7 @@ from itertools import product
 from math import prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from amalgam.abgroups import (
     quotient_decomposition,
@@ -76,6 +77,22 @@ def test_quotient_decomposition_sizes_and_map():
             img = project(list(lift))
             expected = tuple(1 if k == idx else 0 for k in range(len(new_orders)))
             assert img == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_quotient_decomposition_lifts_project_to_the_unit_vectors(data):
+    # up to five factors and three relations reach the column updates of
+    # smith_diagonalize that the seeded draws above leave out
+    orders = data.draw(st.lists(st.integers(2, 12), min_size=1, max_size=5))
+    rels = data.draw(st.lists(
+        st.tuples(*[st.integers(0, o - 1) for o in orders]), max_size=3))
+    new_orders, project, lifts = quotient_decomposition(
+        [list(r) for r in rels], orders)
+    assert len(lifts) == len(new_orders)
+    for j, lift in enumerate(lifts):
+        assert project(list(lift)) == tuple(int(k == j)
+                                            for k in range(len(new_orders)))
 
 
 def test_subgroup_decomposition_enumeration():

@@ -23,11 +23,12 @@ from amalgam.checks import (
     verify_thm_3_4_bookkeeping,
 )
 from amalgam.amalgam import duplication
-from amalgam.modules import ideal_span, syzygy
-from amalgam.rings import product, trunc_poly, zmod
+from amalgam.modules import (CokernelSpec, TypeTable, ideal_span,
+                             minimal_resolution, submodule_span, syzygy)
+from amalgam.rings import FiniteRing, product, trunc_poly, zmod
 from amalgam.spectrum import idempotents, is_local, quotient_ring
 
-from oracles import second_component, structurally_equal
+from oracles import brute_ideals, second_component, structurally_equal
 
 
 INSTANCES = standard_instances()
@@ -314,6 +315,61 @@ def test_pd_profile():
     assert res.witnesses["deep_verdicts"] >= 2
     res = dispatch("pd_profile", zmod(6), 6)
     assert res.status == "skipped" and res.reason == "ring is not local"
+
+
+def _small_local_rings():
+    """Each local ring of order <= 64 among the standard instances and the
+    valid corpus files' declarations, once per structure."""
+    rings = {}
+
+    def add(r):
+        if isinstance(r, FiniteRing) and r.order() <= 64 and is_local(r)[0]:
+            rings.setdefault((r.char, r.orders, r.tensor, r.unit), r)
+
+    for am in INSTANCES.values():
+        for r in (am.a, am.b, am.ring):
+            add(r)
+    for name in ("duplication_z4", "idealization_tower", "truncation_t3",
+                 "duplication_mixed_orders"):
+        path = os.path.join(os.path.dirname(__file__), "..", "corpus",
+                            f"{name}.ring")
+        with open(path, encoding="utf-8") as fh:
+            spec = dsl.parse(fh.read())
+        builder = cli.Builder(65536)
+        for decl in spec.decls():
+            value = builder.env[decl.name] = builder.eval_expr(decl.expr)
+            add(value if isinstance(value, FiniteRing)
+                else getattr(value, "ring", None))
+    return list(rings.values())
+
+
+@pytest.mark.parametrize("depth", [0, 1, 4])
+def test_pd_profile_gives_the_engines_verdict_on_every_quotient(depth):
+    # pd_profile answers from Auslander-Buchsbaum; here the engine resolves
+    # R/I for every proper ideal I, the ideals found by brute force
+    rings = _small_local_rings()
+    assert len(rings) >= 10
+    for ring in rings:
+        _, mx = is_local(ring)
+        whole = submodule_span(ring, 1, [(ring.one(),)])
+        table = TypeTable(ring, mx)
+        ideals = sorted((ideal_span(ring, [ring.element(x) for x in elems])
+                         for elems in brute_ideals(ring)),
+                        key=lambda i: i.basis.rows)
+        proper = [i for i in ideals if i.is_proper()]
+        verdicts = [minimal_resolution(ring, CokernelSpec(whole, i), mx,
+                                       depth, table=table).verdict
+                    for i in proper]
+        res = pd_profile(ring, depth)
+        assert res.passed, ring.name
+        assert res.witnesses == {
+            "mode": "exhaustive",
+            "ideals": [{"ideal_size": i.size(), "verdict": f"{kind}:{value}"}
+                       for i, (kind, value) in zip(proper, verdicts)],
+            "max_finite_pd": max([v for k, v in verdicts if k == "exact"],
+                                 default=0),
+            "deep_verdicts": sum(k == "at_least" for k, _ in verdicts),
+            "depth": depth}, ring.name
 
 
 def test_amalgamation_closure_against_pair_arithmetic():

@@ -5,6 +5,8 @@ import gc
 import io
 import os
 import random
+import sys
+import weakref
 from collections import Counter
 from itertools import product as iproduct
 from math import prod
@@ -13,9 +15,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from amalgam.instances import standard_truncation
-from amalgam.rings import product, trunc_poly, zmod
+from amalgam.rings import FiniteRing, product, trunc_poly, zmod
 from amalgam.modules import (
     CokernelSpec,
+    Submodule,
     SummandType,
     TypeTable,
     global_dimension_signature,
@@ -27,10 +30,12 @@ from amalgam.modules import (
     residue_field_target,
     submodule_span,
     syzygy,
+    _mx_rows,
 )
 from amalgam.spectrum import is_local
+from amalgam.znlinalg import howell_from_rows
 from amalgam import amalgam as am, cli
-from oracles import dense_resolution, enumerate_span
+from oracles import dense_resolution, enumerate_span, product_span_basis
 
 
 def submodule_elements(sub):
@@ -192,6 +197,75 @@ def test_minimal_generator_count_is_order_independent():
             counts.add(len(minimal_generators(sub, mx, gens=shuffled)))
         counts.add(len(base))
         assert len(counts) == 1
+
+
+def _rank30_duplication():
+    a = trunc_poly(2, 20)
+    return am.duplication(a, ideal_span(a, [a.basis_element(1) ** 10])).ring
+
+
+def _seeded_submodules(ring, rng, count):
+    """Submodules of R^1 and R^2 spanned by one to three random vectors,
+    each once with those generators and once with only its basis rows."""
+    for _ in range(count):
+        p = rng.randint(1, 2)
+        gens = [tuple(ring.element([rng.randrange(o) for o in ring.orders])
+                      for _ in range(p)) for _ in range(rng.randint(1, 3))]
+        sub = submodule_span(ring, p, gens)
+        yield sub
+        yield Submodule(ring, p, sub.basis)
+
+
+def test_mx_from_either_pairing_is_the_span_of_all_products(instances):
+    # F2[x]/(x^4) with X = R: pairing M's generator x with X's generator 1
+    # would give span{x}, not M
+    rings = [zmod(8), trunc_poly(2, 4), _rank30_duplication()]
+    rings += [inst.ring for inst in instances.values()]
+    rng = random.Random(22)
+    for ring in rings:
+        _, mx = is_local(ring)
+        one = submodule_span(ring, 1, [(ring.one(),)])
+        for sub in [one, *_seeded_submodules(ring, rng, 6)]:
+            got = howell_from_rows(ring.char, list(_mx_rows(sub, mx)),
+                                   sub.p * ring.rank)
+            assert got == product_span_basis(sub, mx), ring.name
+
+
+def test_mx_makes_no_more_products_than_the_cheaper_pairing(monkeypatch):
+    ring = _rank30_duplication()
+    _, mx = is_local(ring)
+    assert len(minimal_generators(mx, mx)) == 2 and len(mx.basis.rows) == 29
+    calls = [0]
+    mul = FiniteRing.mul_coords
+
+    def counted(self, x, y):
+        calls[0] += 1
+        return mul(self, x, y)
+
+    monkeypatch.setattr(FiniteRing, "mul_coords", counted)
+    for sub in _seeded_submodules(ring, random.Random(5), 8):
+        gens = sub._generators
+        rows = len(sub.basis.rows)
+        calls[0] = 0
+        list(_mx_rows(sub, mx))
+        cheaper = min(2 * rows, 29 * (rows if gens is None else len(gens)))
+        assert calls[0] <= sub.p * cheaper
+
+
+def test_a_ring_frees_its_cached_maximal_ideal_generators():
+    gc.disable()
+    try:
+        ring = trunc_poly(2, 8)
+        _, mx = is_local(ring)
+        minimal_generators(submodule_span(ring, 1, [(ring.one(),)]), mx)
+        gens = ring._cache["ideal_generators", mx.basis]
+        assert gens == ((0, 1, 0, 0, 0, 0, 0, 0),)
+        alive = weakref.ref(ring)
+        del ring, mx
+        assert alive() is None
+        assert sys.getrefcount(gens) == 2  # gens and the call's argument
+    finally:
+        gc.enable()
 
 
 def test_resolution_of_residue_field_z4():
@@ -611,7 +685,7 @@ def _check(name):
 @pytest.mark.parametrize("name", ["duplication_z4", "idealization_tower",
                                   "truncation_t3"])
 def test_a_ringdsl_run_resolves_each_summand_type_once(monkeypatch, name):
-    # betti, thm31, gldim and pd_profile resolve over one ring; the run
+    # betti, thm31 and gldim resolve over one ring; the run
     # gives them one table per local ring, so no type of a ring is
     # resolved twice
     seen = Counter()
