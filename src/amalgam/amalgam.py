@@ -16,8 +16,8 @@ and the subring f(A) + J of B.
 """
 
 from .znlinalg import Solver, ZnMatrix, span_builder
-from .rings import (DEFAULT_MAX_ORDER, FiniteRing, RingConstructionError,
-                    RingElement, RingHom, derived_ring, product)
+from .rings import (DEFAULT_MAX_ORDER, RingConstructionError, RingElement,
+                    RingHom, derived_ring, product, ring_from_products)
 from .abgroups import subgroup_decomposition
 from .modules import _flat_scaled_coords, ideal_span, select_generators
 from . import spectrum
@@ -80,29 +80,21 @@ class AmalgamObjects:
         self.j_orders = tuple(j_orders)
         self.j_group_basis = tuple(ring_b.element(x) for x in j_lifts)
 
-        # basis: A's, then J's; a product with a J factor lies in J.  The
-        # ring is commutative, so only t >= i is computed and mirrored
+        # basis: A's, then J's; a product with a J factor lies in J
         da, k = ring_a.rank, len(j_orders)
         zero_a, zero_j = (0,) * da, (0,) * k
-        f_images = [hom.apply_coords(ring_a.basis_element(i).coords)
-                    for i in range(da)]
-        gens = f_images + j_lifts
+        gens = [hom.apply_coords(ring_a.basis_element(i).coords)
+                for i in range(da)] + j_lifts
 
-        def j_part(x, y):
-            return zero_a + self._j_read(ring_b.mul_coords(x, y))
+        def mul(i, t):
+            if t < da:
+                return ring_a.tensor[i][t] + zero_j
+            return zero_a + self._j_read(ring_b.mul_coords(gens[i], gens[t]))
 
-        tensor = [[None] * (da + k) for _ in gens]
-        for i in range(da + k):
-            for t in range(i, da + k):
-                tensor[i][t] = tensor[t][i] = (
-                    ring_a.tensor[i][t] + zero_j if t < da
-                    else j_part(gens[i], gens[t]))
-        orders = ring_a.orders + self.j_orders
-        unit = ring_a.unit + zero_j
-        labels = ring_a.labels + tuple(f"j{t}" for t in range(k))
-        self.ring = FiniteRing(ring_a.char, orders, tensor, unit,
-                               labels=labels,
-                               name=f"{ring_a.name}><{ring_b.name}")
+        self.ring = ring_from_products(
+            ring_a.char, ring_a.orders + self.j_orders, ring_a.unit + zero_j,
+            mul, ring_a.labels + tuple(f"j{t}" for t in range(k)),
+            f"{ring_a.name}><{ring_b.name}")
         assert self.ring.order() == ring_a.order() * ideal_j.size()
 
         self.proj_a = RingHom(

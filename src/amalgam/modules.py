@@ -123,17 +123,6 @@ class Submodule:
             object.__setattr__(self, "_generators", tuple(self.rows_as_vectors()))
         return self._generators
 
-    @classmethod
-    def from_gens(cls, ring, p, gens):
-        b = span_builder(ring.char, p * ring.rank)
-        gens = tuple(tuple(v) for v in gens)
-        for g in gens:
-            if len(g) != p:
-                raise ValueError(f"generator has {len(g)} slots, expected {p}")
-            for row in basis_action_rows(ring, g):
-                b.insert(row)
-        return cls(ring, p, b.basis(), gens)
-
     def size(self):
         return self.basis.span_size()
 
@@ -173,11 +162,6 @@ class Submodule:
 class Ideal(Submodule):
     """Submodule of R^1, with element-level conveniences."""
 
-    @classmethod
-    def from_elements(cls, ring, elems):
-        sub = Submodule.from_gens(ring, 1, [(e,) for e in elems])
-        return cls(ring, 1, sub.basis, sub.generators)
-
     def contains_element(self, x):
         return self.basis.contains(list(self.ring.scaled(x.coords)))
 
@@ -196,11 +180,19 @@ class Ideal(Submodule):
 
 def submodule_span(ring, p, gens):
     """Smallest R-submodule of R^p containing the generators."""
-    return Submodule.from_gens(ring, p, gens)
+    b = span_builder(ring.char, p * ring.rank)
+    gens = tuple(tuple(v) for v in gens)
+    for g in gens:
+        if len(g) != p:
+            raise ValueError(f"generator has {len(g)} slots, expected {p}")
+        for row in basis_action_rows(ring, g):
+            b.insert(row)
+    return Submodule(ring, p, b.basis(), gens)
 
 
 def ideal_span(ring, elems):
-    return Ideal.from_elements(ring, elems)
+    sub = submodule_span(ring, 1, [(e,) for e in elems])
+    return Ideal(ring, 1, sub.basis, sub.generators)
 
 
 def ideal_sum(a, b):
@@ -214,7 +206,7 @@ def ideal_sum(a, b):
 
 
 def zero_ideal(ring):
-    return Ideal.from_elements(ring, [])
+    return ideal_span(ring, [])
 
 
 # -- syzygies -----------------------------------------------------------------

@@ -161,10 +161,11 @@ class FiniteRing:
         return tuple(c * s for c, s in zip(coords, self.scale))
 
     def unscaled(self, vec):
-        """Inverse of scaled(); input coordinates must be carrier points."""
+        """Inverse of scaled().  The input coordinates must be carrier
+        points in [0, N), as Howell rows and flats reduced mod N are; on a
+        ring whose orders all equal N they are returned as given."""
         if self._cache["unit_scale"]:
-            n = self.char
-            return tuple(v % n for v in vec)
+            return tuple(vec)
         out = []
         for v, s, o in zip(vec, self.scale, self.orders):
             q, r = divmod(v % self.char, s)
@@ -174,22 +175,33 @@ class FiniteRing:
         return tuple(out)
 
 
+def ring_from_products(char, orders, unit, product, labels, name):
+    """The ring whose basis elements i and j multiply to product(i, j).
+
+    The ring is commutative, so product is called once for each j >= i
+    and its value mirrored; FiniteRing checks the shapes and reduces the
+    tensor modulo the orders.
+    """
+    d = len(orders)
+    tensor = [[None] * d for _ in range(d)]
+    for i in range(d):
+        for j in range(i, d):
+            tensor[i][j] = tensor[j][i] = product(i, j)
+    return FiniteRing(char, orders, tensor, unit, labels=labels, name=name)
+
+
 def derived_ring(ring, orders, lifts, read, prefix, name):
     """A quotient or subring of `ring`, by transport of structure.
 
     Basis element i of the new ring (of order orders[i]) is represented by
     the coordinate tuple lifts[i] of `ring`, and read maps a coordinate
     tuple of `ring` to coordinates in the new basis.  The tensor holds
-    read(lifts[i] * lifts[j]) and the unit is read(1); the ring is
-    commutative, so only j >= i is read and the rest mirrored.
+    read(lifts[i] * lifts[j]) and the unit is read(1).
     """
-    tensor = [[None] * len(lifts) for _ in lifts]
-    for i, x in enumerate(lifts):
-        for j in range(i, len(lifts)):
-            tensor[i][j] = tensor[j][i] = read(ring.mul_coords(x, lifts[j]))
-    return FiniteRing(lcm(*orders), tuple(orders), tensor, read(ring.unit),
-                      labels=tuple(f"{prefix}{i}" for i in range(len(orders))),
-                      name=name)
+    return ring_from_products(
+        lcm(*orders), tuple(orders), read(ring.unit),
+        lambda i, j: read(ring.mul_coords(lifts[i], lifts[j])),
+        tuple(f"{prefix}{i}" for i in range(len(orders))), name)
 
 
 class RingElement:
@@ -388,26 +400,22 @@ def zmod(n):
     """The ring Z/n."""
     if n < 2:
         raise RingConstructionError(f"zmod needs n >= 2, got {n}")
-    return FiniteRing(n, (n,), (((1,),),), (1,), labels=("1",), name=f"Z{n}")
+    return ring_from_products(n, (n,), (1,), lambda i, j: (1,), ("1",),
+                              f"Z{n}")
 
 
 def trunc_poly(n, t):
     """Truncated polynomial ring (Z/n)[x] / (x^t)."""
     if t < 1:
         raise RingConstructionError("truncation degree must be >= 1")
-    d = t
-    tensor = []
-    for i in range(d):
-        row = []
-        for j in range(d):
-            vec = [0] * d
-            if i + j < d:
-                vec[i + j] = 1
-            row.append(tuple(vec))
-        tensor.append(tuple(row))
-    labels = tuple("1" if i == 0 else ("x" if i == 1 else f"x^{i}") for i in range(d))
-    unit = tuple(1 if i == 0 else 0 for i in range(d))
-    return FiniteRing(n, (n,) * d, tensor, unit, labels=labels, name=f"Z{n}[x]/(x^{t})")
+    # powers[m] is x^m for every exponent m = i + j < 2t; 0 from m = t on
+    powers = [tuple(int(k == m) for k in range(t)) for m in range(t)]
+    powers += [(0,) * t] * t
+    labels = tuple("1" if i == 0 else ("x" if i == 1 else f"x^{i}")
+                   for i in range(t))
+    return ring_from_products(n, (n,) * t, powers[0],
+                              lambda i, j: powers[i + j], labels,
+                              f"Z{n}[x]/(x^{t})")
 
 
 def product(r, s):
@@ -416,27 +424,20 @@ def product(r, s):
     Different characteristics are fine: the result lives over lcm of the
     two, and each factor keeps its own basis orders.
     """
-    char = lcm(r.char, s.char)
-    dr, ds = r.rank, s.rank
-    orders = r.orders + s.orders
-    zero_r = (0,) * dr
-    zero_s = (0,) * ds
-    tensor = []
-    for i in range(dr + ds):
-        row = []
-        for j in range(dr + ds):
-            if i < dr and j < dr:
-                row.append(tuple(r.tensor[i][j]) + zero_s)
-            elif i >= dr and j >= dr:
-                row.append(zero_r + tuple(s.tensor[i - dr][j - dr]))
-            else:
-                row.append(zero_r + zero_s)
-        tensor.append(tuple(row))
-    unit = r.unit + s.unit
+    dr = r.rank
+    zero_r, zero_s = (0,) * dr, (0,) * s.rank
+
+    def mul(i, j):
+        if j < dr:
+            return r.tensor[i][j] + zero_s
+        if i >= dr:
+            return zero_r + s.tensor[i - dr][j - dr]
+        return zero_r + zero_s
+
     labels = tuple(f"{l}.1" for l in r.labels) + tuple(f"{l}.2" for l in s.labels)
-    ring = FiniteRing(char, orders, tensor, unit, labels=labels,
-                      name=f"({r.name}x{s.name})")
-    return ring
+    return ring_from_products(lcm(r.char, s.char), r.orders + s.orders,
+                              r.unit + s.unit, mul, labels,
+                              f"({r.name}x{s.name})")
 
 
 class ModuleSpec:
@@ -530,28 +531,19 @@ def trivial_extension(r, spec):
     if spec.ring is not r:
         raise RingConstructionError("module is over a different ring")
     d, k = r.rank, len(spec.orders)
-    char = lcm(r.char, *spec.orders) if spec.orders else r.char
-    orders = r.orders + spec.orders
     zero_r, zero_e = (0,) * d, (0,) * k
-    tensor = []
-    for i in range(d + k):
-        row = []
-        for j in range(d + k):
-            if i < d and j < d:
-                row.append(tuple(r.tensor[i][j]) + zero_e)
-            elif i < d and j >= d:
-                e_j = tuple(1 if t == j - d else 0 for t in range(k))
-                row.append(zero_r + spec.act_coords(i, e_j))
-            elif i >= d and j < d:
-                e_i = tuple(1 if t == i - d else 0 for t in range(k))
-                row.append(zero_r + spec.act_coords(j, e_i))
-            else:
-                row.append(zero_r + zero_e)
-        tensor.append(tuple(row))
-    unit = r.unit + zero_e
-    labels = r.labels + spec.labels
-    return FiniteRing(char, orders, tensor, unit, labels=labels,
-                      name=f"{r.name}|xE")
+
+    def mul(i, j):
+        if j < d:
+            return r.tensor[i][j] + zero_e
+        if i < d:
+            return zero_r + spec.act_coords(
+                i, tuple(int(t == j - d) for t in range(k)))
+        return zero_r + zero_e
+
+    char = lcm(r.char, *spec.orders) if spec.orders else r.char
+    return ring_from_products(char, r.orders + spec.orders, r.unit + zero_e,
+                              mul, r.labels + spec.labels, f"{r.name}|xE")
 
 
 def trivial_extension_embedding(r, ext):

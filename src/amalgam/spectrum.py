@@ -1,9 +1,11 @@
 """Radical, idempotent and spectrum analysis of finite commutative rings.
 
 The nilradical is computed without element enumeration: for every prime p
-dividing the characteristic, the p-power map is additive on R/pR, so its
-iterated kernel is a linear-algebra problem over Z/p; the nilradical is the
-intersection of the preimages across primes.  It is cached on the ring.
+dividing the characteristic, the q-power map (q a power of p) is additive
+on R/pR, and for q >= dim R/pR its kernel is Nil(R/pR): a linear-algebra
+problem over Z/p whose matrix is read off the ring's own q-th powers of
+its basis.  The nilradical is the intersection of the preimages across
+primes.  It is cached on the ring.
 
 Locality is one rank over F_p.  A characteristic with two prime factors
 splits R by CRT.  Otherwise the characteristic is p^k, p lies in Nil(R),
@@ -78,12 +80,13 @@ def hom_preimage_ideal(pi, target_ideal, kernel_gens):
 
 # -- nilradical ---------------------------------------------------------------
 
-def _frobenius(r, p):
-    """The coordinates of b_i^p for every basis element, cached on the ring."""
-    images = r._cache.get(("frobenius", p))
+def _frobenius(r, q):
+    """The coordinates of b_i^q for every basis element, cached on the ring
+    by the exponent."""
+    images = r._cache.get(("frobenius", q))
     if images is None:
-        images = r._cache[("frobenius", p)] = tuple(
-            (r.basis_element(i) ** p).coords for i in range(r.rank))
+        images = r._cache[("frobenius", q)] = tuple(
+            (r.basis_element(i) ** q).coords for i in range(r.rank))
     return images
 
 
@@ -103,30 +106,21 @@ def _nilradical_basis(r):
     d = r.rank
     spans = []
     for p in prime_factors(n):
+        # R/pR lives on the coordinates whose order p divides; x -> x^q
+        # kills its nilpotents once q >= dim R/pR (and q >= p)
         alive = [i for i in range(d) if r.orders[i] % p == 0]
-        dim = len(alive)
-        k_iter = 0
-        power = 1
-        while power < dim:
-            power *= p
-            k_iter += 1
-        k_iter = max(k_iter, 1)
-        # matrix of x -> x^p on R/pR in the surviving coordinates
-        images = _frobenius(r, p)
-        rows = [[images[i][j] % p for j in alive] for i in alive]
-        frob = ZnMatrix.from_rows(p, rows, dim) if dim else None
-        if dim:
-            fk = frob
-            for _ in range(k_iter - 1):
-                fk = fk.mul(frob)
-            ker = kernel(fk)
+        q = p
+        while q < len(alive):
+            q *= p
+        images = _frobenius(r, q)
+        ker = kernel(ZnMatrix.from_rows(
+            p, [[images[i][j] for j in alive] for i in alive], len(alive)))
         builder = span_builder(n, d)
-        if dim:
-            for row in ker.rows:
-                coords = [0] * d
-                for idx, i in enumerate(alive):
-                    coords[i] = row[idx] % r.orders[i]
-                builder.insert(list(r.scaled(tuple(coords))))
+        for row in ker.rows:
+            coords = [0] * d
+            for idx, i in enumerate(alive):
+                coords[i] = row[idx] % r.orders[i]
+            builder.insert(list(r.scaled(tuple(coords))))
         for i in range(d):
             coords = [0] * d
             coords[i] = p % r.orders[i]

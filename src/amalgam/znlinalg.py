@@ -62,7 +62,8 @@ def _lift_unit(b, n):
 
 
 class ZnMatrix:
-    """Immutable matrix over Z/N, entries stored row-major in [0, N)."""
+    """Immutable matrix over Z/N, entries stored row-major in [0, N): the
+    input of kernel and Solver."""
 
     __slots__ = ("modulus", "rows", "cols", "entries")
 
@@ -96,23 +97,6 @@ class ZnMatrix:
     def row(self, i):
         c = self.cols
         return self.entries[i * c:(i + 1) * c]
-
-    def mul(self, other):
-        if self.modulus != other.modulus or self.cols != other.rows:
-            raise DimensionMismatch("matrix product shape/modulus mismatch")
-        n = self.modulus
-        out = []
-        orows = [other.row(k) for k in range(other.rows)]
-        for i in range(self.rows):
-            ri = self.row(i)
-            acc = [0] * other.cols
-            for k, a in enumerate(ri):
-                if a:
-                    rk = orows[k]
-                    for j in range(other.cols):
-                        acc[j] += a * rk[j]
-            out.append([x % n for x in acc])
-        return ZnMatrix.from_rows(n, out, other.cols)
 
 
 class HowellBasis:

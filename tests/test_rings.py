@@ -11,6 +11,7 @@ from amalgam.rings import (
     RingConstructionError,
     RingHom,
     product,
+    ring_from_products,
     trivial_extension,
     trivial_extension_embedding,
     trunc_poly,
@@ -127,6 +128,37 @@ def test_trivial_extension_z4_mod2():
             assert (u * v).is_zero()
 
 
+def test_ring_from_products_reads_each_unordered_pair_once():
+    calls = []
+
+    def mul(i, j):
+        calls.append((i, j))
+        return tuple(int(k == i + j) for k in range(4))
+
+    ring = ring_from_products(2, (2,) * 4, (1, 0, 0, 0), mul, "abcd", "R")
+    assert len(calls) == len(set(calls)) == 10
+    assert all(j >= i for i, j in calls)
+    assert ring.tensor == trunc_poly(2, 4).tensor
+
+
+def test_trivial_extension_acts_once_per_ring_and_module_basis_pair(
+        monkeypatch):
+    r = trunc_poly(2, 3)
+    spec = ModuleSpec(r, [2, 2], [[[1, 0], [0, 1]], [[0, 1], [0, 0]],
+                                  [[0, 0], [0, 0]]])
+    real, calls = ModuleSpec.act_coords, []
+
+    def counting(self, i, vec):
+        calls.append((i, vec))
+        return real(self, i, vec)
+
+    monkeypatch.setattr(ModuleSpec, "act_coords", counting)
+    a = trivial_extension(r, spec)
+    assert len(calls) == r.rank * len(spec.orders)
+    monkeypatch.undo()
+    assert verify_ring(a).ok
+
+
 def test_trivial_extension_embedding_is_hom():
     r = zmod(4)
     e = ModuleSpec(r, [2], [[[1]]])
@@ -157,9 +189,12 @@ def test_nilradical_examples():
 
 
 def test_nilradical_matches_bruteforce():
+    # the truncations of rank 5, 9 and 4 need x -> x^q with q = 8, 16 and 9,
+    # a third Frobenius power or more
     z4 = zmod(4)
     rings = [z4, zmod(6), zmod(8), zmod(9), zmod(12), trunc_poly(2, 3),
-             trunc_poly(3, 2), product(zmod(4), zmod(2)),
+             trunc_poly(3, 2), trunc_poly(2, 5), trunc_poly(2, 9),
+             trunc_poly(3, 4), product(zmod(4), zmod(2)),
              trivial_extension(z4, ModuleSpec(z4, [2], [[[1]]]))]
     for ring in rings:
         nil = nilradical(ring)
