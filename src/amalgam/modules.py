@@ -24,7 +24,6 @@ syzygy/Nakayama loop on small inputs.
 """
 
 from collections import Counter
-from math import prod
 
 from .znlinalg import (HowellBasis, ZnMatrix, howell_from_rows, kernel,
                        span_builder)
@@ -370,7 +369,9 @@ class SummandType:
         """Fill in syz, syz_gens, components and children on table.  syz
         is the direct sum of its components on disjoint slots, so each of
         its Howell rows lies in one, and a component's rows, restricted to
-        its slots, are its key (validate re-spans it)."""
+        its slots, are its key.  validate re-spans each key from its
+        component's rows and places the keys back at their slots, where
+        they must give syz's rows."""
         ring = self.module.ring
         d = ring.rank
         self.syz = syzygy(ring, self.gens, den=self.den)
@@ -420,8 +421,6 @@ class SummandType:
         if not all(max_ideal.contains_element(e)
                    for row in self.syz_gens for e in row if not e.is_zero()):
             bad.append("a differential entry lies outside the maximal ideal")
-        if submodule_span(ring, mu, self.syz_gens).basis != self.syz.basis:
-            bad.append("the differential rows do not span the kernel")
         image_size = self.module.size()
         if self.den is not None:
             image_size //= self.den.size()
@@ -430,7 +429,21 @@ class SummandType:
         return bad + self._split_issues(cover)
 
     def _split_issues(self, cover):
+        """Violations of the kernel's split, and of exactness by placement.
+
+        The kernel is never re-spanned whole.  Once the slot checks pass,
+        the groups of syz_gens lie on disjoint slots, and each group,
+        restricted to its slots, must span its key.  Then span(syz_gens)
+        is the direct sum of the keys placed at their slots.  The Howell
+        rows of a direct sum on disjoint coordinates are the union of the
+        summands' Howell rows, so the keys' rows, placed and ordered by
+        pivot, must be syz's rows exactly; that equality gives
+        span(syz_gens) = syz.  resolve() cuts each key from syz's rows, so
+        a correct type matches by construction.  An early return (overlap,
+        straddle or cover) already reports a violation.
+        """
         ring = self.module.ring
+        d = ring.rank
         mu = len(self.gens)
         owner = {}
         for n, (slots, _) in enumerate(self.components):
@@ -447,12 +460,19 @@ class SummandType:
             if len(homes) != 1 or None in homes:
                 return ["a kernel generator straddles components"]
             groups[homes.pop()].append(row)
+        placed = []
         for (slots, key), group in zip(self.components, groups):
             restricted = [tuple(row[s] for s in slots) for row in group]
             if submodule_span(ring, len(slots), restricted).basis != key:
                 return ["a component does not span its summand type"]
-        if prod(key.span_size() for _, key in self.components) != self.syz.size():
-            return ["the components do not sum to the kernel"]
+            for row, (j, _) in zip(key.rows, key.pivots):
+                flat = [0] * (mu * d)
+                for k, s in enumerate(slots):
+                    flat[s * d:s * d + d] = row[k * d:k * d + d]
+                placed.append((slots[j // d] * d + j % d, tuple(flat)))
+        placed.sort()
+        if [row for _, row in placed] != list(self.syz.basis.rows):
+            return ["the differential rows do not span the kernel"]
         if self.children != Counter(key for _, key in self.components):
             return ["child multiplicities disagree with the components"]
         return []
@@ -573,14 +593,18 @@ class Resolution:
 
         For the target and for every reached summand type T, once: T's
         module is the one its key names, the generators span T (modulo
-        den), every kernel generator composes with them to 0 (complex), has
-        its entries in M (minimality) and together they span the stored
-        kernel (exactness), with |ker| * |T| = |R|^mu (cardinality).  The
-        kernel splits exactly: component slots are disjoint (and cover R^mu
-        below the target), each component spans its key and the component
-        sizes multiply to |ker|.  Last, the multiplicities and Betti numbers
-        are recomputed from the children.  A type checked before on
-        identical data, by any validation, is not checked again.
+        den), every kernel generator composes with them to 0 (complex) and
+        has its entries in M (minimality), and |ker| * |T| = |R|^mu
+        (cardinality).  The kernel splits exactly: component slots are
+        disjoint (and cover R^mu below the target), no kernel generator
+        straddles two components, and each component's generators,
+        restricted to its slots, span its key.  Exactness is checked by
+        placement, never by re-spanning the whole kernel: the keys' Howell
+        rows, placed at their slots and ordered by pivot, must be the
+        stored kernel's rows, so the kernel generators span the stored
+        kernel.  Last, the multiplicities and Betti numbers are recomputed
+        from the children.  A type checked before on identical data, by any
+        validation, is not checked again.
         """
         mx = self.max_ideal
         bad = self.root.issues(mx, "target", cover=False)

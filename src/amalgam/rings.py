@@ -74,8 +74,16 @@ class FiniteRing:
                 f"tensor must be {d} x {d} vectors of {d} coordinates")
         if len(unit) != d:
             raise RingConstructionError(f"unit must have {d} coordinates")
-        tensor = tuple(tuple(tuple(c % o for c, o in zip(vec, orders))
-                             for vec in row) for row in tensor)
+        # ring_from_products stores each product once under (i, j) and
+        # (j, i); such a shared vector is reduced once
+        reduced = [[None] * d for _ in range(d)]
+        for i, row in enumerate(tensor):
+            for j, vec in enumerate(row):
+                if j < i and vec is tensor[j][i]:
+                    reduced[i][j] = reduced[j][i]
+                else:
+                    reduced[i][j] = tuple([c % o for c, o in zip(vec, orders)])
+        tensor = tuple(tuple(row) for row in reduced)
         unit = tuple(u % o for u, o in zip(unit, orders))
         if labels is None:
             labels = tuple(f"b{i}" for i in range(d))
@@ -179,8 +187,8 @@ def ring_from_products(char, orders, unit, product, labels, name):
     """The ring whose basis elements i and j multiply to product(i, j).
 
     The ring is commutative, so product is called once for each j >= i
-    and its value mirrored; FiniteRing checks the shapes and reduces the
-    tensor modulo the orders.
+    and its value mirrored; FiniteRing checks the shapes and reduces each
+    stored product modulo the orders once.
     """
     d = len(orders)
     tensor = [[None] * d for _ in range(d)]
@@ -246,7 +254,8 @@ class RingElement:
 
     def __pow__(self, n):
         """Square-and-multiply: floor(log2 n) squarings plus one product
-        per further set bit of n."""
+        per further set bit of n.  A zero square ends it early: a set bit
+        of n is still to come, so the power is zero."""
         if n < 0:
             raise ValueError("negative powers are not defined")
         if n == 0:
@@ -260,6 +269,8 @@ class RingElement:
             if not n:
                 return result
             base = base * base
+            if base.is_zero():
+                return base
 
     def is_zero(self):
         return not any(self.coords)

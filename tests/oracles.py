@@ -194,6 +194,24 @@ def brute_is_field(r):
                for x in elems if not x.is_zero())
 
 
+def respan_kernel_holds(t):
+    """The kernel check that placement replaced in SummandType: the
+    differential rows, re-spanned whole in R^mu, give the stored kernel;
+    each component's rows, restricted to its slots, span its key; and the
+    component sizes multiply to |ker|."""
+    from math import prod
+    from amalgam.modules import submodule_span
+    ring, mu = t.module.ring, len(t.gens)
+    if submodule_span(ring, mu, t.syz_gens).basis != t.syz.basis:
+        return False
+    for slots, key in t.components:
+        group = [tuple(row[s] for s in slots) for row in t.syz_gens
+                 if any(not row[s].is_zero() for s in slots)]
+        if submodule_span(ring, len(slots), group).basis != key:
+            return False
+    return prod(key.span_size() for _, key in t.components) == t.syz.size()
+
+
 def dense_resolution(ring, target, max_ideal, depth):
     """Minimal resolution by the plain syzygy / Nakayama loop: no direct-sum
     split, no memo.  Returns (betti, verdict, periodic, kernel sizes)."""

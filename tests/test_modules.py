@@ -33,9 +33,10 @@ from amalgam.modules import (
     _mx_rows,
 )
 from amalgam.spectrum import is_local
-from amalgam.znlinalg import howell_from_rows
+from amalgam.znlinalg import HowellBasis, howell_from_rows
 from amalgam import amalgam as am, cli
-from oracles import dense_resolution, enumerate_span, product_span_basis
+from oracles import (dense_resolution, enumerate_span, product_span_basis,
+                     respan_kernel_holds)
 
 
 def submodule_elements(sub):
@@ -476,6 +477,166 @@ def test_validate_reports_a_type_filed_under_another_key():
     for res, t, where in _corruptible():
         t.module = submodule_span(res.ring, t.module.p, [])
         assert f"{where} the module is not the one its key names" in res.validate()
+
+
+# -- exactness by placement --------------------------------------------------------
+
+def _same_size_other_span(key):
+    """A Howell basis with key's ambient and span size but another span:
+    key's rows with one entry past a pivot changed; None if there is none."""
+    n = key.modulus
+    for i, (j, _) in enumerate(key.pivots):
+        for c in range(j + 1, key.ambient):
+            for v in range(n):
+                rows = [list(r) for r in key.rows]
+                rows[i][c] = v
+                other = howell_from_rows(n, rows, key.ambient)
+                if other != key and other.span_size() == key.span_size():
+                    return other
+    return None
+
+
+def _kernel_mutants(t):
+    """(label, field, value): t's field set to value corrupts its kernel
+    data, or, for slots swapped between two equal keys, leaves it intact."""
+    comps = t.components
+    for n, (slots, key) in enumerate(comps):
+        other = _same_size_other_span(key)
+        if other is not None:
+            yield "same_size_key", "components", comps[:n] + [(slots, other)] + comps[n + 1:]
+        dropped = HowellBasis(key.modulus, key.ambient, key.rows[:-1])
+        yield "key_row_dropped", "components", comps[:n] + [(slots, dropped)] + comps[n + 1:]
+        for m in range(n + 1, len(comps)):
+            swapped = list(comps)
+            swapped[n], swapped[m] = (comps[m][0], key), (slots, comps[m][1])
+            yield "slots_swapped", "components", swapped
+    ring, mu, syz = t.module.ring, len(t.gens), t.syz.basis
+    other = _same_size_other_span(syz)
+    if other is not None:
+        yield "same_size_kernel", "syz", Submodule(ring, mu, other)
+    if syz.rows:
+        yield "kernel_row_dropped", "syz", Submodule(
+            ring, mu, HowellBasis(syz.modulus, syz.ambient, syz.rows[:-1]))
+
+
+def _depth6_resolutions(instances, monkeypatch):
+    """Every resolution at depth 6 of the standard instances' table
+    targets, then every resolution that ringdsl check --depth 6 makes on
+    the corpus files that build."""
+    for inst in instances.values():
+        _, mx = inst.ring_local()
+        for target in _table_targets(inst):
+            yield minimal_resolution(inst.ring, target, mx, depth=6)
+    from amalgam import checks, modules
+    made, inner = [], modules.minimal_resolution
+
+    def kept(*args, **kwargs):
+        made.append(inner(*args, **kwargs))
+        return made[-1]
+
+    for owner in (modules, checks):
+        monkeypatch.setattr(owner, "minimal_resolution", kept)
+    for name in ("duplication_z4", "idealization_tower", "truncation_t3",
+                 "duplication_mixed_orders"):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["check", _corpus(name), "--depth", "6"]) in (0, 1)
+    assert made
+    yield from made
+
+
+def test_validate_passes_exactly_when_the_whole_kernel_respan_does(
+        instances, monkeypatch):
+    # placement replaced the whole-kernel re-span; on every resolution and
+    # on each kernel mutant of its types the two verdicts agree
+    mutants = Counter()
+    for res in _depth6_resolutions(instances, monkeypatch):
+        types = [t for t in (res.root, *res.types) if t.syz is not None]
+        assert res.validate() == [] and all(map(respan_kernel_holds, types))
+        for t in types:
+            for label, field, value in _kernel_mutants(t):
+                saved = getattr(t, field)
+                setattr(t, field, value)
+                try:
+                    verdict = res.validate() == []
+                    assert verdict == respan_kernel_holds(t), label
+                finally:
+                    setattr(t, field, saved)
+                mutants[label, verdict] += 1
+            assert res.validate() == []
+    for label in ("same_size_key", "key_row_dropped", "slots_swapped",
+                  "same_size_kernel", "kernel_row_dropped"):
+        assert mutants[label, False], label
+
+
+def test_validate_reports_a_key_of_the_same_size_and_another_span():
+    for res, t, where in _corruptible():
+        slots, key = t.components[0]
+        other = _same_size_other_span(key)
+        assert other.span_size() == key.span_size() and other != key
+        t.components[0] = (slots, other)
+        assert f"{where} a component does not span its summand type" in res.validate()
+
+
+def test_validate_reports_a_dropped_key_row():
+    for res, t, where in _corruptible():
+        slots, key = t.components[0]
+        t.components[0] = (slots, HowellBasis(key.modulus, key.ambient, key.rows[:-1]))
+        assert f"{where} a component does not span its summand type" in res.validate()
+
+
+@pytest.mark.parametrize("slot", [0, 2], ids=["overlap", "outside"])
+def test_validate_reports_a_component_slot_overlapping_or_outside(slot):
+    # the type has mu = 2 and components on slots 0 and 1; slot 2 is the
+    # first slot outside R^2
+    for res, t, where in _corruptible():
+        assert len(t.gens) == 2 and [s for s, _ in t.components] == [(0,), (1,)]
+        t.components[1] = ((slot,), t.components[1][1])
+        assert (f"{where} component slots overlap or fall outside R^2"
+                in res.validate())
+
+
+def test_validate_reports_swapped_component_slots(instances):
+    # trunc_t3's syzygies split into components with different keys
+    inst = instances["trunc_t3"]
+    _, mx = inst.ring_local()
+    res = minimal_resolution(inst.ring, inst.mj, mx, depth=4)
+    assert res.validate() == []
+    n, t = next((n, t) for n, t in enumerate(res.types)
+                if len({key for _, key in t.components}) > 1)
+    (a, key_a), (b, key_b) = t.components[:2]
+    t.components[:2] = [(b, key_a), (a, key_b)]
+    assert f"type {n}: a component does not span its summand type" in res.validate()
+
+
+def test_validation_never_respans_a_split_kernel_whole(instances, monkeypatch):
+    # each component is re-spanned on its own slots and the kernel is
+    # checked by placing the keys, so no span runs in the kernel's ambient
+    # R^mu of a type whose kernel splits
+    from amalgam import modules
+    inst = instances["dup_z4"]
+    _, mx = inst.ring_local()
+    res = minimal_resolution(inst.ring, inst.mj, mx, depth=14)
+    checking, split, wide = [], [], []
+    span, violations = modules.submodule_span, SummandType._violations
+
+    def watched_span(ring, p, gens):
+        t = checking[-1]
+        if len(t.gens) > 1 and len(t.components) > 1 and p == len(t.gens):
+            wide.append(p)
+        return span(ring, p, gens)
+
+    def watched_violations(self, max_ideal, cover):
+        checking.append(self)
+        split.append(len(self.components) > 1)
+        try:
+            return violations(self, max_ideal, cover)
+        finally:
+            checking.pop()
+
+    monkeypatch.setattr(modules, "submodule_span", watched_span)
+    monkeypatch.setattr(SummandType, "_violations", watched_violations)
+    assert res.validate() == []
+    assert any(split) and wide == []
 
 
 # -- one type table shared by every resolution over a ring -----------------------

@@ -411,10 +411,23 @@ def _count_products(monkeypatch):
 @pytest.mark.parametrize("n, products", [(0, 0), (1, 0), (2, 1), (3, 2),
                                          (4, 2), (5, 3), (8, 3)])
 def test_power_is_square_and_multiply(monkeypatch, n, products):
-    b = trunc_poly(2, 4).basis_element(1)
+    # 1 + x is a unit, so no square is zero and every step runs
+    r = trunc_poly(2, 4)
+    u = r.one() + r.basis_element(1)
     calls = _count_products(monkeypatch)
-    b ** n
+    u ** n
     assert len(calls) == products
+
+
+@pytest.mark.parametrize("n, products", [(2, 1), (3, 2), (4, 2), (5, 2),
+                                         (6, 2), (8, 2), (1000, 2)])
+def test_power_stops_at_a_zero_square(monkeypatch, n, products):
+    # x^4 = 0: once the running square is x^4 the power is zero
+    x = trunc_poly(2, 4).basis_element(1)
+    calls = _count_products(monkeypatch)
+    power = x ** n
+    assert len(calls) == products
+    assert power.is_zero() == (n >= 4)
 
 
 @pytest.mark.parametrize("ring", [zmod(9), trunc_poly(2, 4), _galois_ring()],
@@ -422,6 +435,6 @@ def test_power_is_square_and_multiply(monkeypatch, n, products):
 def test_power_matches_repeated_multiplication(ring):
     for x in ring.elements():
         expected = ring.one()
-        for n in range(13):
+        for n in range(34):
             assert x ** n == expected, (x, n)
             expected = expected * x
