@@ -10,9 +10,9 @@ follows from
     (a, f(a)+j) * (a', f(a')+j') = (aa', f(aa') + f(a)j' + f(a')j + jj').
 
 AmalgamObjects bundles the constructed ring with the canonical maps and
-ideals the verification harness consumes: the pair constructor, the
-projection onto A, {0} x J, M |><| J for the maximal ideal of a local A,
-and the subring f(A) + J of B.
+ideals the verification harness consumes: the pair constructor, {0} x J,
+M |><| J for the maximal ideal of a local A, and the subring f(A) + J of
+B.
 """
 
 from .znlinalg import Solver, ZnMatrix, span_builder
@@ -96,11 +96,6 @@ class AmalgamObjects:
             mul, ring_a.labels + tuple(f"j{t}" for t in range(k)),
             f"{ring_a.name}><{ring_b.name}")
         assert self.ring.order() == ring_a.order() * ideal_j.size()
-
-        self.proj_a = RingHom(
-            self.ring, ring_a,
-            [ring_a.basis_element(i).coords for i in range(da)] +
-            [(0,) * da for _ in range(k)], check=False)
 
         # canonical ideals
         self.zero_j = ideal_span(

@@ -6,6 +6,9 @@ witnesses.  Checks never raise on mathematical failure; they raise only on
 malformed inputs.  A check holds only under its job's precondition (JOBS,
 PRECONDITIONS), which cli.run_job applies; a direct call assumes it.
 
+The hypothesis set is evaluated on the AmalgamObjects bundle alone, once
+per bundle (hypotheses_of); the preconditions read that record.
+
 The kernel-transfer checks assume the generating tuple is compatible with
 the transfer identity: the identity Keru = Kerv |><| J^r requires that the
 linear functional sum f(a_i) k_i vanish on Kerv, which holds automatically
@@ -22,11 +25,10 @@ from .rings import DEFAULT_MAX_ORDER, HomomorphismError, RingHom, verify_ring
 from .modules import (CokernelSpec, TypeTable, global_dimension_signature,
                       ideal_span, ideal_sum, is_projective,
                       minimal_generators, minimal_resolution,
-                      select_generators, submodule_span, syzygy)
+                      submodule_span, syzygy)
 from . import spectrum
-from .amalgam import (AmalgamObjects, hom_power, ideal_in_subring,
-                      ideal_power, image_plus_J, power_slot_element,
-                      ring_power)
+from .amalgam import (AmalgamObjects, hom_power, ideal_power,
+                      power_slot_element, ring_power)
 
 DEFAULT_DEPTH = 6
 # power_iso past the exhaustive budget checks this many random pairs
@@ -117,106 +119,65 @@ def _coords_list(elem):
     return list(elem.coords)
 
 
-class HypothesisReport:
-    """Evaluated hypothesis set for an amalgamation instance."""
-
-    __slots__ = ("a_local", "j_proper", "j_square_zero", "fmj_zero",
-                 "j_min_generator_count", "subring_local", "witnesses")
-
-    def __init__(self, **kw):
-        for k in self.__slots__:
-            setattr(self, k, kw.get(k))
-
-    def core_ok(self):
-        return bool(self.a_local and self.j_proper and self.j_square_zero
-                    and self.fmj_zero)
-
-    def to_dict(self):
-        return {k: getattr(self, k) for k in self.__slots__}
-
-
-def check_hypotheses(ring_a, ring_b, hom, ideal_j, budget=DEFAULT_MAX_ORDER,
-                     bundle=None):
-    """Evaluate the hypothesis set on raw pieces; never raises on failure.
-
-    bundle is the AmalgamObjects built from these pieces, if any: f(A) + J,
-    its locality and J's generators over it then come from the bundle
-    instead of being rebuilt.
-    """
+def check_hypotheses(am):
+    """Evaluate the hypothesis set on the bundle; never raises on failure."""
     witnesses = {}
-    a_local, m_a = spectrum.is_local(ring_a)
+    a_local, m_a = am.a_local, am.a_max
     # the idempotent is only a witness: past the budget it is left out
-    if not a_local and ring_a.order() <= budget:
-        nontrivial = [e for e in spectrum.idempotents(ring_a, budget)
-                      if not e.is_zero() and e != ring_a.one()]
+    if not a_local and am.a.order() <= am.budget:
+        nontrivial = [e for e in spectrum.idempotents(am.a, am.budget)
+                      if not e.is_zero() and e != am.a.one()]
         if nontrivial:
             witnesses["a_nontrivial_idempotent"] = _coords_list(nontrivial[0])
-    j_proper = ideal_j.is_proper()
-    if not j_proper:
-        witnesses["j_size"] = ideal_j.size()
-        witnesses["b_size"] = ring_b.order()
-    j_rows = ideal_j.element_rows()
-    j_square_zero = True
-    for x in j_rows:
-        for y in j_rows:
-            if not (x * y).is_zero():
-                j_square_zero = False
-                witnesses["j_square_witness"] = [
-                    _coords_list(x), _coords_list(y), _coords_list(x * y)]
-                break
-        if not j_square_zero:
-            break
-    fmj_zero = True
+    # AmalgamObjects refuses an improper J, so this is always True
+    j_proper = am.j.is_proper()
+    j_rows = am.j.element_rows()
+    square = next(((x, y) for x in j_rows for y in j_rows
+                   if not (x * y).is_zero()), None)
+    j_square_zero = square is None
+    if square:
+        x, y = square
+        witnesses["j_square_witness"] = [
+            _coords_list(x), _coords_list(y), _coords_list(x * y)]
+    fmj_zero = None
     if a_local:
-        for m in m_a.element_rows():
-            fm = hom(m)
-            for g in j_rows:
-                if not (fm * g).is_zero():
-                    fmj_zero = False
-                    witnesses["fmj_witness"] = [
-                        _coords_list(m), _coords_list(g)]
-                    break
-            if not fmj_zero:
-                break
-    else:
-        fmj_zero = None
+        images = ((m, am.f(m)) for m in m_a.element_rows())
+        fmj = next(((m, g) for m, fm in images for g in j_rows
+                    if not (fm * g).is_zero()), None)
+        fmj_zero = fmj is None
+        if fmj:
+            witnesses["fmj_witness"] = [_coords_list(e) for e in fmj]
     # generator count of J over the subring f(A) + J: the minimal count
     # over a local subring, otherwise only an upper bound
     count = None
     subring_local = None
     try:
-        if bundle is None:
-            sub, incl = image_plus_J(hom, ideal_j)
-            subring_local, m_c = spectrum.is_local(sub)
-            count = len(select_generators(ideal_in_subring(incl, j_rows),
-                                          subring_local, m_c))
-        else:
-            subring_local, _ = spectrum.is_local(bundle.subring)
-            count = len(bundle.j_subring_generators())
+        subring_local, _ = spectrum.is_local(am.subring)
+        count = len(am.j_subring_generators())
         if not subring_local:
             witnesses["j_count_is_upper_bound"] = True
     except ValueError as exc:  # construction-level failure becomes a witness
         witnesses["subring_error"] = str(exc)
-    report = HypothesisReport(
-        a_local=a_local, j_proper=j_proper, j_square_zero=j_square_zero,
-        fmj_zero=fmj_zero, j_min_generator_count=count,
-        subring_local=subring_local, witnesses=witnesses)
-    result = record("hypotheses", report.core_ok(), "hypothesis set violated",
-                    {**report.to_dict(), **{"detail": witnesses}})
-    return report, result
+    return record("hypotheses",
+                  bool(a_local and j_proper and j_square_zero and fmj_zero),
+                  "hypothesis set violated",
+                  {"a_local": a_local, "j_proper": j_proper,
+                   "j_square_zero": j_square_zero, "fmj_zero": fmj_zero,
+                   "j_min_generator_count": count,
+                   "subring_local": subring_local, "witnesses": witnesses,
+                   "detail": witnesses})
 
 
 def hypotheses_of(am):
-    """check_hypotheses on the bundle's pieces, cached on the bundle."""
+    """check_hypotheses(am), cached on the bundle."""
     if am._hypotheses is None:
-        am._hypotheses = check_hypotheses(am.a, am.b, am.f, am.j, am.budget,
-                                          bundle=am)
+        am._hypotheses = check_hypotheses(am)
     return am._hypotheses
 
 
 def _local_base_square_zero_j(am):
-    report, _ = hypotheses_of(am)
-    return report.a_local and report.j_proper and report.j_square_zero
+    w = hypotheses_of(am).witnesses
+    return w["a_local"] and w["j_proper"] and w["j_square_zero"]
 
 
 # A job's precondition: a test on the job's first argument, and the reason
@@ -225,10 +186,10 @@ PRECONDITIONS = {
     "local": (lambda ring: spectrum.is_local(ring)[0], "ring is not local"),
     "over_local_ring": (lambda module: spectrum.is_local(module.ring)[0],
                         "ring is not local"),
-    "hypotheses": (lambda am: hypotheses_of(am)[0].core_ok(),
+    "hypotheses": (lambda am: hypotheses_of(am).passed,
                    "hypothesis set not met"),
     "hypotheses_and_j": (
-        lambda am: hypotheses_of(am)[0].core_ok() and am.j.size() > 1,
+        lambda am: hypotheses_of(am).passed and am.j.size() > 1,
         "requires the hypothesis set and J != 0"),
     "local_base_square_zero_j": (
         _local_base_square_zero_j,
@@ -252,14 +213,12 @@ def verify_remark_2_1(am):
     return record("remark21", ok, "maximal ideal mismatch", witnesses)
 
 
-def power_iso(am, n, seed=0, budget=DEFAULT_MAX_ORDER):
-    """Verified ring isomorphism between (A |><| J)^n and A^n |><| J^n."""
-    r = am.ring
-    r_n = ring_power(r, n) if n > 1 else r
-    a_n = ring_power(am.a, n) if n > 1 else am.a
-    b_n = ring_power(am.b, n) if n > 1 else am.b
-    f_n = hom_power(am.f, n, a_n, b_n) if n > 1 else am.f
-    j_n = ideal_power(am.j, n, b_n) if n > 1 else am.j
+def power_iso(am, n, seed=0):
+    """Verified ring isomorphism between (A |><| J)^n and A^n |><| J^n,
+    exhaustive while |R^n|^2 fits the bundle's budget."""
+    r_n, a_n, b_n = (ring_power(x, n) for x in (am.ring, am.a, am.b))
+    f_n = hom_power(am.f, n, a_n, b_n)
+    j_n = ideal_power(am.j, n, b_n)
     target = AmalgamObjects(a_n, b_n, f_n, j_n, budget=am.budget)
     s = target.ring
     da, k = am.a.rank, len(am.j_orders)
@@ -284,11 +243,11 @@ def power_iso(am, n, seed=0, budget=DEFAULT_MAX_ORDER):
             r_n.basis_element(i).coords))))
     bijective = (r_n.order() == s.order() == image.basis().span_size())
     total = r_n.order()
-    exhaustive = total * total <= budget
+    exhaustive = total * total <= am.budget
     # phi(x*y) == phi(x)*phi(y) on coordinate tuples, pair by pair; in
     # exhaustive mode R^n is enumerated and mapped by phi once
     if exhaustive:
-        xs = [e.coords for e in r_n.elements(budget)]
+        xs = [e.coords for e in r_n.elements(am.budget)]
         images = [phi.apply_coords(x) for x in xs]
         pairs = ((x, px, y, py) for x, px in zip(xs, images)
                  for y, py in zip(xs, images))
@@ -397,8 +356,13 @@ def _kernel_transfer_data(am, u_vectors, k_vectors):
     return "ok", None, data
 
 
-def verify_kernel_transfer(am, p, u_vectors, k_vectors):
-    """Kernel transfer identity for a given generating tuple."""
+def kernel_transfer(am, p, u_vectors, k_vectors, seed=0):
+    """The kernel transfer identity for a given generating tuple; with
+    u_vectors a count r and k_vectors None, random_kernel_transfer_check
+    on r random vectors drawn from the seed."""
+    if k_vectors is None:
+        return random_kernel_transfer_check(am, p, u_vectors,
+                                            random.Random(seed))
     status, reason, data = _kernel_transfer_data(am, u_vectors, k_vectors)
     if status != "ok":
         return skipped("kernel_transfer", reason)
@@ -411,16 +375,6 @@ def verify_kernel_transfer(am, p, u_vectors, k_vectors):
     }
     return record("kernel_transfer", data["keru"].basis == data["predicted"],
                   "span mismatch", witnesses)
-
-
-def kernel_transfer(am, p, u_vectors, k_vectors, seed=0):
-    """The kernel_transfer job: verify_kernel_transfer, or, with u_vectors
-    a count r and k_vectors None, random_kernel_transfer_check on r random
-    vectors drawn from the seed."""
-    if k_vectors is None:
-        return random_kernel_transfer_check(am, p, u_vectors,
-                                            random.Random(seed))
-    return verify_kernel_transfer(am, p, u_vectors, k_vectors)
 
 
 def verify_lemma_2_4(am, p, u_vectors, k_vectors, depth=4, table=None):
@@ -458,6 +412,12 @@ def verify_idempotent_claim(am):
                    "offenders": offenders})
 
 
+def _summary(res):
+    """(Betti list, "kind:value" verdict, validation issues) of res."""
+    kind, value = res.verdict
+    return list(res.betti), f"{kind}:{value}", res.validate()
+
+
 def betti_experiment(am, depth=DEFAULT_DEPTH, table=None):
     """Betti positivity of M |><| J and {0} x J to the given depth, under
     the hypothesis set (so the amalgamation is local)."""
@@ -465,12 +425,14 @@ def betti_experiment(am, depth=DEFAULT_DEPTH, table=None):
     table = table or TypeTable(am.ring, mx)
     res_mj = minimal_resolution(am.ring, am.mj, mx, depth, table=table)
     res_zj = minimal_resolution(am.ring, am.zero_j, mx, depth, table=table)
-    issues = res_mj.validate() + res_zj.validate()
-    positive = (all(b >= 1 for b in res_mj.betti[:depth + 1]) and
-                all(b >= 1 for b in res_zj.betti[:depth + 1]))
+    betti_mj, _, issues_mj = _summary(res_mj)
+    betti_zj, _, issues_zj = _summary(res_zj)
+    issues = issues_mj + issues_zj
+    positive = (all(b >= 1 for b in betti_mj[:depth + 1]) and
+                all(b >= 1 for b in betti_zj[:depth + 1]))
     witnesses = {
-        "betti_mj": list(res_mj.betti),
-        "betti_zero_j": list(res_zj.betti),
+        "betti_mj": betti_mj,
+        "betti_zero_j": betti_zj,
         "periodic_mj": res_mj.periodic,
         "periodic_zero_j": res_zj.periodic,
         "resolution_issues": issues,
@@ -495,6 +457,7 @@ def verify_thm_3_1_objects(am, k_elem, depth=DEFAULT_DEPTH, table=None):
     whole = submodule_span(am.ring, 1, [(am.ring.one(),)])
     res = minimal_resolution(am.ring, CokernelSpec(whole, ideal_i), mx,
                              depth, table=table)
+    betti, verdict, issues = _summary(res)
     kind, value = res.verdict
     deep = kind == "at_least" and value >= depth
     witnesses = {
@@ -504,9 +467,9 @@ def verify_thm_3_1_objects(am, k_elem, depth=DEFAULT_DEPTH, table=None):
         "annihilator_is_mj": ann_is_mj,
         "k_times_ideal_zero": self_ann,
         "ideal_projective": projective,
-        "quotient_betti": list(res.betti),
-        "quotient_verdict": f"{kind}:{value}",
-        "resolution_issues": res.validate(),
+        "quotient_betti": betti,
+        "quotient_verdict": verdict,
+        "resolution_issues": issues,
     }
     return record("thm31", ann_is_mj and self_ann and not projective and deep,
                   "a proof object failed", witnesses)
@@ -641,9 +604,8 @@ def gldim_signature(ring, depth=8, table=None):
     residue field."""
     _, mx = spectrum.is_local(ring)
     res = global_dimension_signature(ring, mx, depth, table)
-    kind, value = res.verdict
-    issues = res.validate()
-    witnesses = {"betti": list(res.betti), "verdict": f"{kind}:{value}",
+    betti, verdict, issues = _summary(res)
+    witnesses = {"betti": betti, "verdict": verdict,
                  "periodic": res.periodic, "resolution_issues": issues,
                  "depth": depth}
     return record("gldim", not issues, "resolution invalid", witnesses)
@@ -653,9 +615,8 @@ def resolve(module, depth=8, table=None):
     """Minimal resolution of an ideal or submodule over a local ring."""
     _, mx = spectrum.is_local(module.ring)
     res = minimal_resolution(module.ring, module, mx, depth, table=table)
-    kind, value = res.verdict
-    issues = res.validate()
-    witnesses = {"betti": list(res.betti), "verdict": f"{kind}:{value}",
+    betti, verdict, issues = _summary(res)
+    witnesses = {"betti": betti, "verdict": verdict,
                  "periodic": res.periodic, "resolution_issues": issues}
     return record("resolve", not issues, "resolution invalid", witnesses)
 
@@ -698,7 +659,7 @@ def random_kernel_transfer_check(am, p, r, rng):
                                    for _ in range(p)))
             k_vectors.append(tuple(am.j.random_ring_element(rng)
                                    for _ in range(p)))
-        result = verify_kernel_transfer(am, p, u_vectors, k_vectors)
+        result = kernel_transfer(am, p, u_vectors, k_vectors)
         if result.reason != _DEGENERATE:
             if draws > 1:
                 result.witnesses["draws"] = draws
@@ -712,7 +673,7 @@ def random_kernel_transfer_check(am, p, r, rng):
 # A check that resolves takes table, the run's TypeTable of its ring;
 # called without one, its resolutions share one fresh table.
 JOBS = {
-    "hypotheses": (None, lambda am: hypotheses_of(am)[1]),
+    "hypotheses": (None, hypotheses_of),
     "remark21": ("local_base_square_zero_j", verify_remark_2_1),
     "kernel_transfer": ("hypotheses", kernel_transfer),
     "lemma24": ("hypotheses", verify_lemma_2_4),

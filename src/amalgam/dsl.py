@@ -34,7 +34,7 @@ JOBS = {
     "hypotheses": ("amalgam",), "remark21": ("amalgam",),
     "kernel_transfer": ("amalgam", "count", "draws_or_vectors", "seed"),
     "lemma24": ("amalgam", "count", "vectors", "short_depth", "types"),
-    "power_iso": ("amalgam", "count", "seed", "budget"),
+    "power_iso": ("amalgam", "count", "seed"),
     "idempotent": ("amalgam",), "betti": ("amalgam", "depth", "types"),
     "thm31": ("amalgam", "b_element", "depth", "types"),
     "thm34": ("amalgam", "a_element"),
@@ -98,9 +98,6 @@ class Num:
     def __eq__(self, other):
         return isinstance(other, Num) and self.value == other.value
 
-    def __hash__(self):
-        return hash(("num", self.value))
-
     def render(self):
         return str(self.value)
 
@@ -116,9 +113,6 @@ class Ref:
     def __eq__(self, other):
         return isinstance(other, Ref) and self.name == other.name
 
-    def __hash__(self):
-        return hash(("ref", self.name))
-
     def render(self):
         return self.name
 
@@ -133,9 +127,6 @@ class ListExpr:
 
     def __eq__(self, other):
         return isinstance(other, ListExpr) and self.items == other.items
-
-    def __hash__(self):
-        return hash(("list", self.items))
 
     def render(self):
         return "[" + ", ".join(i.render() for i in self.items) + "]"
@@ -154,9 +145,6 @@ class Call:
         return (isinstance(other, Call) and self.name == other.name
                 and self.args == other.args)
 
-    def __hash__(self):
-        return hash(("call", self.name, self.args))
-
     def render(self):
         return f"{self.name}(" + ", ".join(a.render() for a in self.args) + ")"
 
@@ -173,9 +161,6 @@ class Decl:
         return (isinstance(other, Decl) and self.name == other.name
                 and self.expr == other.expr)
 
-    def __hash__(self):
-        return hash(("decl", self.name, self.expr))
-
     def render(self):
         return f"{self.name} = {self.expr.render()}"
 
@@ -191,9 +176,6 @@ class Job:
     def __eq__(self, other):
         return (isinstance(other, Job) and self.name == other.name
                 and self.args == other.args)
-
-    def __hash__(self):
-        return hash(("job", self.name, self.args))
 
     def render(self):
         return f"job {self.name}(" + ", ".join(a.render() for a in self.args) + ")"

@@ -26,7 +26,7 @@ from .znlinalg import ZnMatrix, howell_from_rows, kernel, span_builder
 from .rings import (DEFAULT_MAX_ORDER, BudgetExceededError,
                     RingConstructionError, RingHom, derived_ring)
 from .abgroups import quotient_decomposition
-from .modules import Ideal, ideal_span, syzygy
+from .modules import Ideal, ideal_span
 
 
 def prime_factors(n):

@@ -5,8 +5,8 @@
         [--seed 0] [--limit N] [--timeout 600] [--list] [-- PYTEST ARGS]
 
 Each mutant changes one token of the file given by --path: ``<`` and
-``<=``, ``>`` and ``>=``, ``+`` and ``-``, ``==`` and ``!=`` swap, and the
-number 0 becomes 1 and 1 becomes 0.  --function keeps the tokens inside
+``<=``, ``>`` and ``>=``, ``+`` and ``-``, ``==`` and ``!=``, ``//`` and
+``%``, ``and`` and ``or`` swap, and the number 0 becomes 1 and 1 becomes 0.  --function keeps the tokens inside
 the named functions or methods (repeatable); without it the whole file is
 mutated.  --limit draws that many mutants, seeded by --seed; without it
 every mutant runs, in file order.  --list prints the mutants and runs
@@ -35,7 +35,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SWAPS = {"<": "<=", "<=": "<", ">": ">=", ">=": ">", "+": "-", "-": "+",
-         "==": "!=", "!=": "==", "0": "1", "1": "0"}
+         "==": "!=", "!=": "==", "//": "%", "%": "//", "and": "or",
+         "or": "and", "0": "1", "1": "0"}
 IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache",
                                  ".hypothesis", "out")
 
@@ -53,7 +54,9 @@ def mutants(source, names=()):
     ranges = function_lines(source, names) if names else None
     out = []
     for tok in tokenize.generate_tokens(io.StringIO(source).readline):
-        if tok.type not in (tokenize.OP, tokenize.NUMBER) or tok.string not in SWAPS:
+        # the keywords and, or are NAME tokens; no identifier is spelt so
+        if (tok.type not in (tokenize.OP, tokenize.NUMBER, tokenize.NAME)
+                or tok.string not in SWAPS):
             continue
         line, col = tok.start
         if ranges is None or any(a <= line <= b for a, b in ranges):

@@ -12,11 +12,11 @@ from amalgam.checks import (
     check_hypotheses,
     gldim_signature,
     hypotheses_of,
+    kernel_transfer,
     pd_profile,
     power_iso,
     random_kernel_transfer_check,
     verify_idempotent_claim,
-    verify_kernel_transfer,
     verify_lemma_2_4,
     verify_remark_2_1,
     verify_thm_3_1_objects,
@@ -25,7 +25,8 @@ from amalgam.checks import (
 from amalgam.amalgam import duplication
 from amalgam.modules import (CokernelSpec, TypeTable, ideal_span,
                              minimal_resolution, submodule_span, syzygy)
-from amalgam.rings import FiniteRing, product, trunc_poly, zmod
+from amalgam.rings import (FiniteRing, ModuleSpec, product, trivial_extension,
+                           trunc_poly, zmod)
 from amalgam.spectrum import idempotents, is_local, quotient_ring
 
 from oracles import brute_ideals, second_component, structurally_equal
@@ -74,28 +75,19 @@ def test_duplication_with_zero_ideal_is_base():
 
 def test_hypotheses_pass_on_standard_instances():
     for name, am in INSTANCES.items():
-        report, result = hypotheses_of(am)
-        assert report.core_ok(), name
+        result = hypotheses_of(am)
         assert result.passed, name
-        assert report.j_min_generator_count >= 1
-
-
-def test_hypotheses_flag_improper_j():
-    z4 = zmod(4)
-    whole = ideal_span(z4, [z4.one()])
-    report, result = check_hypotheses(z4, z4, __import__(
-        "amalgam.rings", fromlist=["RingHom"]).RingHom.identity(z4), whole)
-    assert not report.j_proper
-    assert result.status == "fail"
+        assert result.witnesses["j_min_generator_count"] >= 1
 
 
 def test_hypotheses_flag_square_nonzero():
-    a = __import__("amalgam.rings", fromlist=["trunc_poly"]).trunc_poly(2, 3)
-    from amalgam.rings import RingHom
+    a = trunc_poly(2, 3)
     x = a.basis_element(1)
-    j = ideal_span(a, [x])  # (x)^2 = (x^2) != 0 in F2[x]/(x^3)
-    report, result = check_hypotheses(a, a, RingHom.identity(a), j)
-    assert report.j_square_zero is False
+    am = duplication(a, ideal_span(a, [x]))  # (x)^2 = (x^2) != 0
+    result = check_hypotheses(am)
+    assert result.witnesses["j_square_zero"] is False
+    assert result.witnesses["detail"]["j_square_witness"] == [
+        [0, 1, 0], [0, 1, 0], [0, 0, 1]]
     assert result.status == "fail"
 
 
@@ -127,7 +119,7 @@ def test_power_iso_n1_and_n2():
 
 def test_power_iso_n3_sampled():
     dup = INSTANCES["dup_z4"]
-    r3 = power_iso(dup, 3, seed=7, budget=65536)
+    r3 = power_iso(dup, 3, seed=7)
     assert r3.passed
     assert r3.witnesses["mode"] == "sampled"
     assert r3.witnesses["seed"] == 7
@@ -138,7 +130,7 @@ def test_kernel_transfer_spec_example():
     a = dup.a
     u = [(a.from_int(2),)]
     k = [(dup.b.zero(),)]
-    result = verify_kernel_transfer(dup, 1, u, k)
+    result = kernel_transfer(dup, 1, u, k)
     assert result.passed
     assert result.witnesses["kerv_size"] == 2
     assert result.witnesses["keru_size"] == 4
@@ -150,7 +142,7 @@ def test_kernel_transfer_trivial_zero_instance():
     a, b = dup.a, dup.b
     u = [(a.zero(),), (a.zero(),)]
     k = [(b.zero(),), (b.zero(),)]
-    result = verify_kernel_transfer(dup, 1, u, k)
+    result = kernel_transfer(dup, 1, u, k)
     assert result.passed
     assert result.witnesses["keru_size"] == dup.ring.order() ** 2
 
@@ -169,7 +161,7 @@ def test_kernel_transfer_prunes_non_minimal_instance():
     predicted_raw = dup.product_set_basis([(kerv, 2)])
     assert keru.basis != predicted_raw
     # the check prunes to an A-minimal u-part and then passes
-    result = verify_kernel_transfer(dup, 1, u, k)
+    result = kernel_transfer(dup, 1, u, k)
     assert result.passed
     assert result.witnesses["pruned"]
     assert result.witnesses["surviving_indices"] == [0]
@@ -178,7 +170,7 @@ def test_kernel_transfer_prunes_non_minimal_instance():
 def test_kernel_transfer_rejects_bad_input():
     dup = INSTANCES["dup_z4"]
     a = dup.a
-    result = verify_kernel_transfer(dup, 1, [(a.one(),)], [(dup.b.zero(),)])
+    result = kernel_transfer(dup, 1, [(a.one(),)], [(dup.b.zero(),)])
     assert result.status == "skipped"  # u not in M
 
 
@@ -317,6 +309,27 @@ def test_pd_profile():
     assert res.status == "skipped" and res.reason == "ring is not local"
 
 
+def test_pd_profile_lists_principal_ideals_past_the_exhaustive_cap():
+    # order 512 > PD_EXHAUSTIVE_CAP: the principal ideals (x^k), 1 <= k <= 9
+    res = pd_profile(trunc_poly(2, 9), 3)
+    assert res.passed
+    assert res.witnesses["mode"] == "principal_only"
+    assert [row["ideal_size"] for row in res.witnesses["ideals"]] == [
+        2 ** k for k in range(9)]
+    assert res.witnesses["deep_verdicts"] == 8
+
+
+def test_pd_profile_skips_an_ideal_lattice_past_the_budget():
+    # F2 |x F2^6 has order 128, and its 2825 ideals exceed PD_IDEAL_BUDGET
+    f2 = zmod(2)
+    ring = trivial_extension(f2, ModuleSpec(f2, [2] * 6, [
+        [[int(i == j) for j in range(6)] for i in range(6)]]))
+    assert ring.order() == 128
+    res = pd_profile(ring, 3)
+    assert (res.status, res.reason) == ("skipped",
+                                        "ideal lattice exceeds the budget")
+
+
 def _small_local_rings():
     """Each local ring of order <= 64 among the standard instances and the
     valid corpus files' declarations, once per structure."""
@@ -449,12 +462,29 @@ def test_hypotheses_over_a_non_local_subring_count_greedily():
     from amalgam.rings import product
     a = product(zmod(2), zmod(4))
     am = duplication(a, ideal_span(a, [a.element((0, 2))]))
-    report, result = hypotheses_of(am)
-    assert not report.subring_local
-    assert report.j_min_generator_count == 1
+    result = hypotheses_of(am)
+    assert result.witnesses["subring_local"] is False
     assert result.witnesses["j_min_generator_count"] == 1
     assert result.witnesses["detail"]["j_count_is_upper_bound"] is True
     assert [g.coords for g in am.j_subring_generators()] == [(0, 2)]
+
+
+@pytest.mark.parametrize("budget, witness", [(7, None), (8, [0, 1])])
+def test_hypotheses_name_an_idempotent_of_a_non_local_base_within_the_budget(
+        budget, witness):
+    # the first idempotent of Z/2 x Z/4 other than 0 and 1, when A's 8
+    # elements fit the budget the bundle was built with
+    a = product(zmod(2), zmod(4))
+    am = duplication(a, ideal_span(a, [a.element((0, 2))]), budget=budget)
+    result = hypotheses_of(am)
+    assert result.status == "fail"
+    assert result.witnesses["detail"].get("a_nontrivial_idempotent") == witness
+
+
+def test_hypotheses_enumerate_nothing_over_a_local_base():
+    z4 = zmod(4)
+    assert hypotheses_of(duplication(z4, ideal_span(z4, [z4.from_int(2)]),
+                                     budget=2)).passed
 
 
 def test_select_generators_is_nakayama_when_local_and_greedy_otherwise():
@@ -541,33 +571,49 @@ def test_thm34_cascade_decides_the_subring_locality_once(monkeypatch):
     assert am.j_subring_generators() is am.j_subring_generators()
 
 
-def test_hypotheses_of_uses_the_bundles_own_subring(monkeypatch):
-    from amalgam import checks, spectrum
+# the generator count of J over f(A) + J on each standard instance
+J_SUBRING_COUNTS = {"dup_z4": 1, "tower_dim1": 1, "tower_dim2": 2,
+                    "trunc_t3": 1, "trunc_t4": 1}
 
-    calls = []
-    real = spectrum._is_local
+
+def test_hypotheses_of_uses_the_bundles_own_subring(monkeypatch):
+    from amalgam import spectrum
+
+    calls, asked = [], []
+    real, real_is_local = spectrum._is_local, spectrum.is_local
 
     def counting(ring):
         calls.append(ring)
         return real(ring)
 
-    def no_rebuild(*args):
-        raise AssertionError("f(A) + J or J inside it rebuilt")
+    def asking(ring):
+        asked.append(ring)
+        return real_is_local(ring)
 
     fresh = standard_instances()
+    assert set(fresh) == set(J_SUBRING_COUNTS)
     for name, am in fresh.items():
-        expected = check_hypotheses(am.a, am.b, am.f, am.j, am.budget)
-        monkeypatch.setattr(checks, "image_plus_J", no_rebuild)
-        monkeypatch.setattr(checks, "ideal_in_subring", no_rebuild)
         monkeypatch.setattr(spectrum, "_is_local", counting)
-        report, result = hypotheses_of(am)
+        monkeypatch.setattr(spectrum, "is_local", asking)
+        result = hypotheses_of(am)
         # the subring's locality is decided once per bundle, shared with
         # the thm34 cascade
         am.j_subring_generators()
         monkeypatch.undo()
-        assert report.to_dict() == expected[0].to_dict(), name
-        assert result.to_dict() == expected[1].to_dict(), name
+        assert result.to_dict() == {
+            "name": "hypotheses", "claim": checks.CLAIMS["hypotheses"],
+            "status": "pass", "reason": None, "wall_ms": 0,
+            "witnesses": {
+                "a_local": True, "j_proper": True, "j_square_zero": True,
+                "fmj_zero": True,
+                "j_min_generator_count": J_SUBRING_COUNTS[name],
+                "subring_local": True, "witnesses": {}, "detail": {}}}, name
+        assert list(result.witnesses) == [
+            "a_local", "j_proper", "j_square_zero", "fmj_zero",
+            "j_min_generator_count", "subring_local", "witnesses", "detail"]
     assert sum(ring is am.subring for am in fresh.values() for ring in calls) == len(fresh)
+    # the base's locality is read off the bundle, not asked again
+    assert not any(ring is am.a for am in fresh.values() for ring in asked)
 
 
 @pytest.mark.parametrize("error, caught", [(ValueError, True),
@@ -587,9 +633,9 @@ def test_only_a_value_error_from_the_subring_becomes_a_witness(
         with pytest.raises(error):
             hypotheses_of(am)
         return
-    report, result = hypotheses_of(am)
-    assert report.witnesses["subring_error"] == "no generators"
-    assert report.j_min_generator_count is None
+    result = hypotheses_of(am)
+    assert result.witnesses["detail"]["subring_error"] == "no generators"
+    assert result.witnesses["j_min_generator_count"] is None
     assert result.passed
 
 

@@ -357,8 +357,13 @@ def _arithmetic_cases():
     cases = {}
     for name, am in standard_instances().items():
         square, a_square = ring_power(am.ring, 2), ring_power(am.a, 2)
-        cases[name] = (am.ring, [am.proj_a])
-        cases[f"{name}^2"] = (square, [hom_power(am.proj_a, 2, square, a_square)])
+        # the projection (a, f(a) + j) -> a onto A
+        da = am.a.rank
+        proj = RingHom(am.ring, am.a, [am.a.basis_element(i).coords
+                                       for i in range(da)]
+                       + [(0,) * da] * len(am.j_orders))
+        cases[name] = (am.ring, [proj])
+        cases[f"{name}^2"] = (square, [hom_power(proj, 2, square, a_square)])
         cases[f"{name}.A"] = (am.a, [am.f])
         cases[f"{name}.C"] = (am.subring, [am.subring_incl])
     for n, p in ((4, 2), (9, 3)):
