@@ -12,19 +12,24 @@ follows from
 AmalgamObjects bundles the constructed ring with the canonical maps and
 ideals the verification harness consumes: the pair constructor, {0} x J,
 M |><| J for the maximal ideal of a local A, and the subring f(A) + J of
-B.
+B.  These ideals, and J^n in B^n, are ideals by construction, so each is
+the additive span of its generators (modules.additive_ideal); f(A) + J is
+built on first use.
 """
 
-from .znlinalg import Solver, ZnMatrix, span_builder
+from functools import cached_property
+
+from .znlinalg import span_builder
 from .rings import (DEFAULT_MAX_ORDER, RingConstructionError, RingElement,
                     RingHom, derived_ring, product, ring_from_products)
 from .abgroups import subgroup_decomposition
-from .modules import _flat_scaled_coords, ideal_span, select_generators
+from .modules import _flat_scaled_coords, additive_ideal, select_generators
 from . import spectrum
 
 
 def image_plus_J(f, j):
-    """The subring f(A) + J of B, with its inclusion into B.
+    """The subring C = f(A) + J of B, its inclusion into B, and the map
+    reading an element of C (coordinates in B) in C's basis.
 
     The additive group is generated by the images of A's basis together
     with J; it is closed under multiplication because J is an ideal and f
@@ -37,29 +42,17 @@ def image_plus_J(f, j):
                 for i in range(f.source.rank)]
     gen_rows += [b.unscaled(row) for row in j.basis.rows]
     orders, read, lifts = subgroup_decomposition(gen_rows, b.orders)
-    if not orders:
-        raise RingConstructionError("f(A) + J collapsed to the zero group")
     sub = derived_ring(b, orders, lifts, read, "c", f"f({f.source.name})+J")
-    return sub, RingHom(sub, b, lifts)
-
-
-def ideal_in_subring(incl, elems):
-    """The ideal of incl's source generated by elements of its image;
-    ValueError for an element outside the image."""
-    sub, b = incl.source, incl.target
-    solver = Solver(ZnMatrix.from_rows(
-        b.char, [b.scaled(row) for row in incl.matrix], b.rank))
-    gens = []
-    for e in elems:
-        x = solver.solve(b.scaled(e.coords))
-        if x is None:
-            raise ValueError(f"element {e!r} is not in the subring")
-        gens.append(sub.element(x))
-    return ideal_span(sub, gens)
+    return sub, RingHom(sub, b, lifts), read
 
 
 class AmalgamObjects:
-    """The amalgamation ring together with its canonical maps and ideals."""
+    """The amalgamation ring together with its canonical maps and ideals.
+
+    zero_j and mj are additive spans of their embedded generators.  subring,
+    subring_incl and j_in_subring are built on first read, where an error
+    building f(A) + J would surface.  None arises: f(1) = 1 != 0 lies in it
+    (FiniteRing refuses a zero ring) and RingHom checks the inclusion."""
 
     def __init__(self, ring_a, ring_b, hom, ideal_j, budget=DEFAULT_MAX_ORDER):
         if hom.source is not ring_a or hom.target is not ring_b:
@@ -98,14 +91,24 @@ class AmalgamObjects:
         assert self.ring.order() == ring_a.order() * ideal_j.size()
 
         # canonical ideals
-        self.zero_j = ideal_span(
+        self.zero_j = additive_ideal(
             self.ring, [self.embed(ring_a.zero(), e) for e in self.j_group_basis])
         assert self.zero_j.size() == ideal_j.size()
         self.a_local, self.a_max = spectrum.is_local(ring_a)
         self.mj = self.mj_of(self.a_max) if self.a_local else None
-        self.subring, self.subring_incl = image_plus_J(hom, ideal_j)
-        self._j_subring_generators = None
         self._hypotheses = None  # cached by checks.hypotheses_of
+
+    @cached_property
+    def _image_plus_j(self):
+        """f(A) + J, its inclusion into B and J as an ideal of it (spanned
+        by J's group basis, read in the subring's basis)."""
+        sub, incl, read = image_plus_J(self.f, self.j)
+        return sub, incl, additive_ideal(
+            sub, [sub.element(read(e.coords)) for e in self.j_group_basis])
+
+    subring = property(lambda self: self._image_plus_j[0])
+    subring_incl = property(lambda self: self._image_plus_j[1])
+    j_in_subring = property(lambda self: self._image_plus_j[2])
 
     def ring_local(self):
         """(flag, maximal ideal) of the constructed ring."""
@@ -141,18 +144,19 @@ class AmalgamObjects:
         gens = [self.embed(x, self.b.zero())
                 for x in (ideal_a.element_rows())]
         gens += [self.embed(self.a.zero(), e) for e in self.j_group_basis]
-        out = ideal_span(self.ring, gens)
+        out = additive_ideal(self.ring, gens)
         assert out.size() == ideal_a.size() * self.j.size()
         return out
+
+    @cached_property
+    def _j_subring_generators(self):
+        local, m_c = spectrum.is_local(self.subring)
+        gens = select_generators(self.j_in_subring, local, m_c)
+        return [self.subring_incl(g) for (g,) in gens]
 
     def j_subring_generators(self):
         """Generators of J over f(A) + J (modules.select_generators), as
         elements of B, cached."""
-        if self._j_subring_generators is None:
-            local, m_c = spectrum.is_local(self.subring)
-            j_in_c = ideal_in_subring(self.subring_incl, self.j_group_basis)
-            gens = select_generators(j_in_c, local, m_c)
-            self._j_subring_generators = [self.subring_incl(g) for (g,) in gens]
         return self._j_subring_generators
 
     def product_set_basis(self, blocks):
@@ -207,30 +211,19 @@ def ring_power(r, n):
 def power_slot_element(r_pow, r, n, slot, elem):
     """Embed an element of r into slot `slot` of the n-fold power."""
     d = r.rank
-    coords = [0] * (n * d)
-    for i, c in enumerate(elem.coords):
-        coords[slot * d + i] = c
-    return r_pow.element(tuple(coords))
+    return r_pow.element(
+        (0,) * (slot * d) + elem.coords + (0,) * ((n - slot - 1) * d))
 
 
 def hom_power(f, n, src_pow, tgt_pow):
     """Block-diagonal power of a hom between the n-fold product rings."""
-    da, db = f.source.rank, f.target.rank
-    rows = []
-    for s in range(n):
-        for i in range(da):
-            row = [0] * (n * db)
-            for t, c in enumerate(f.matrix[i]):
-                row[s * db + t] = c
-            rows.append(tuple(row))
+    db = f.target.rank
+    rows = [(0,) * (s * db) + row + (0,) * ((n - s - 1) * db)
+            for s in range(n) for row in f.matrix]
     return RingHom(src_pow, tgt_pow, rows, check=False)
 
 
 def ideal_power(j, n, b_pow):
     """J^n = J + ... + J as an ideal of the n-fold power of B."""
-    b = j.ring
-    gens = []
-    for s in range(n):
-        for e in [b.element(b.unscaled(row)) for row in j.basis.rows]:
-            gens.append(power_slot_element(b_pow, b, n, s, e))
-    return ideal_span(b_pow, gens)
+    return additive_ideal(b_pow, [power_slot_element(b_pow, j.ring, n, s, e)
+                                  for s in range(n) for e in j.element_rows()])

@@ -169,10 +169,12 @@ def check_hypotheses(am):
 
 
 def hypotheses_of(am):
-    """check_hypotheses(am), cached on the bundle."""
+    """check_hypotheses(am), cached on the bundle; each caller gets its own
+    copy of the record, so each job's record keeps its own wall time."""
     if am._hypotheses is None:
         am._hypotheses = check_hypotheses(am)
-    return am._hypotheses
+    r = am._hypotheses
+    return CheckResult(r.name, r.claim, r.status, r.reason, r.witnesses)
 
 
 def _local_base_square_zero_j(am):

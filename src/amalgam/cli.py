@@ -173,13 +173,15 @@ class Builder:
 def run_job(builder, job, options):
     """The record of one job: its check run on its arguments, coerced by
     their kinds in dsl.JOBS, or skipped when its precondition fails or it
-    would enumerate past the budget; the record carries the wall time."""
+    would enumerate past the budget; the record carries the wall time of
+    its check alone, timed once the precondition holds."""
     values = _job_values(builder, job, options)
     precondition, check = checklib.JOBS[job.name]
     holds, reason = checklib.PRECONDITIONS.get(precondition, (None, None))
     start = time.perf_counter()
     try:
         if holds is None or holds(values[0]):
+            start = time.perf_counter()
             result = check(*values)
         else:
             result = checklib.skipped(job.name, reason)

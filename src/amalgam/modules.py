@@ -194,18 +194,24 @@ def ideal_span(ring, elems):
     return Ideal(ring, 1, sub.basis, sub.generators)
 
 
+def additive_ideal(ring, elems):
+    """The ideal spanned additively by elems, its generators; the caller
+    knows that span to be closed under the product (else it is only the
+    subgroup, smaller than ideal_span(ring, elems))."""
+    return Ideal(ring, 1, howell_from_rows(
+        ring.char, [ring.scaled(e.coords) for e in elems], ring.rank),
+        [(e,) for e in elems])
+
+
 def ideal_sum(a, b):
-    """The ideal a + b.  It is the additive span of a and b, so its basis
-    is the Howell form of their two bases' rows."""
-    ring = a.ring
-    if b.ring is not ring:
+    """The ideal a + b, the additive span of both ideals' basis rows."""
+    if b.ring is not a.ring:
         raise ValueError("ideals belong to different rings")
-    return Ideal(ring, 1, howell_from_rows(ring.char, a.basis.rows + b.basis.rows,
-                                           ring.rank))
+    return additive_ideal(a.ring, a.element_rows() + b.element_rows())
 
 
 def zero_ideal(ring):
-    return ideal_span(ring, [])
+    return additive_ideal(ring, [])
 
 
 # -- syzygies -----------------------------------------------------------------

@@ -26,7 +26,7 @@ from .znlinalg import ZnMatrix, howell_from_rows, kernel, span_builder
 from .rings import (DEFAULT_MAX_ORDER, BudgetExceededError,
                     RingConstructionError, RingHom, derived_ring)
 from .abgroups import quotient_decomposition
-from .modules import Ideal, ideal_span
+from .modules import Ideal, additive_ideal, ideal_span
 
 
 def prime_factors(n):
@@ -65,17 +65,13 @@ def quotient_ring(r, ideal):
 
 
 def hom_preimage_ideal(pi, target_ideal, kernel_gens):
-    """Preimage of an ideal of pi's target, given generators of ker(pi)."""
+    """Preimage of an ideal of pi's target, spanned additively by
+    kernel_gens, which must generate ker(pi) additively (as an ideal's
+    rows do), and the lifts of the target ideal's rows."""
     src = pi.source
-    lifts = pi.section
-    gens = list(kernel_gens)
-    for row in target_ideal.element_rows():
-        lifted = src.zero()
-        for c, w in zip(row.coords, lifts):
-            if c:
-                lifted = lifted + c * w
-        gens.append(lifted)
-    return ideal_span(src, gens)
+    lifts = [sum((c * w for c, w in zip(row.coords, pi.section) if c), src.zero())
+             for row in target_ideal.element_rows()]
+    return additive_ideal(src, list(kernel_gens) + lifts)
 
 
 # -- nilradical ---------------------------------------------------------------

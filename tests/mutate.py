@@ -7,10 +7,10 @@
 Each mutant changes one token of the file given by --path: ``<`` and
 ``<=``, ``>`` and ``>=``, ``+`` and ``-``, ``==`` and ``!=``, ``//`` and
 ``%``, ``and`` and ``or`` swap, and the number 0 becomes 1 and 1 becomes 0.  --function keeps the tokens inside
-the named functions or methods (repeatable); without it the whole file is
-mutated.  --limit draws that many mutants, seeded by --seed; without it
-every mutant runs, in file order.  --list prints the mutants and runs
-nothing.
+the named functions or methods (repeatable); a name that matches none
+exits 2.  Without it the whole file is mutated.  --limit draws that many
+mutants, seeded by --seed; without it every mutant runs, in file order.
+--list prints the mutants and runs nothing.
 
 The repository is copied once into a temporary directory.  Each mutant is
 written into the copy, one at a time, and ``pytest -x`` runs there on the
@@ -99,6 +99,12 @@ def main(argv=None):
     opts = parser.parse_args(argv)
 
     source = (ROOT / opts.path).read_text()
+    missing = [name for name in opts.function
+               if not function_lines(source, [name])]
+    if missing:
+        print(f"no function named {', '.join(missing)} in {opts.path}",
+              file=sys.stderr)
+        return 2
     todo = mutants(source, opts.function)
     if opts.limit is not None and opts.limit < len(todo):
         todo = sorted(random.Random(opts.seed).sample(todo, opts.limit))

@@ -46,6 +46,31 @@ def dispatch(name, *args):
                        options)
 
 
+def test_a_job_is_timed_from_its_precondition_and_owns_its_record(monkeypatch):
+    # a fake clock that only evaluating the hypothesis set moves, by 1 s
+    clock = [0.0]
+    real = checks.check_hypotheses
+
+    def slow(am):
+        clock[0] += 1.0
+        return real(am)
+
+    monkeypatch.setattr(checks, "check_hypotheses", slow)
+    monkeypatch.setattr(cli.time, "perf_counter", lambda: clock[0])
+
+    def bundle():
+        a = trunc_poly(2, 12)
+        return duplication(a, ideal_span(a, [a.basis_element(11)]))
+
+    # remark21's precondition evaluates the set; its check took no time
+    assert dispatch("remark21", bundle()).wall_ms == 0
+    d = bundle()
+    first, second = dispatch("hypotheses", d), dispatch("hypotheses", d)
+    assert (first.wall_ms, second.wall_ms) == (1000, 0)
+    assert first is not second
+    assert first.to_dict() == dict(second.to_dict(), wall_ms=1000)
+
+
 def test_instances_sanity():
     for name, am in INSTANCES.items():
         assert am.ring.order() == am.a.order() * am.j.size(), name
@@ -414,12 +439,12 @@ def test_image_plus_j_examples():
     # identity hom with any J gives back the whole ring
     z4 = zmod(4)
     ideal2 = ideal_span(z4, [z4.from_int(2)])
-    sub, incl = image_plus_J(RingHom.identity(z4), ideal2)
+    sub, incl, _ = image_plus_J(RingHom.identity(z4), ideal2)
     assert sub.order() == 4
     # f: Z/4 -> Z/2 canonical with J = 0 gives a subring of order 2
     z2 = zmod(2)
     f = RingHom(z4, z2, [(1,)])
-    sub, incl = image_plus_J(f, zero_ideal(z2))
+    sub, incl, _ = image_plus_J(f, zero_ideal(z2))
     assert sub.order() == 2
     # truncation instance: f(A) + J is all of B
     t3 = INSTANCES["trunc_t3"]
