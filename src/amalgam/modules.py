@@ -394,18 +394,20 @@ class SummandType:
             for (slots, group), r in zip(split, rows)]
         self.children = Counter(key for _, key in self.components)
 
-    def issues(self, max_ideal, where, cover):
+    def issues(self, max_ideal, where, cover, spans):
         """Violations of the type's own data (see Resolution.validate), each
         labelled with where.  The check is a pure function of data, every
-        field it reads, so it reruns only when data has changed."""
+        field it reads, so it reruns only when data has changed.  spans is
+        the calling validation's span memo (see _span_basis): each distinct
+        span is computed once per validate() call, never across calls."""
         data = (max_ideal, cover, self.key, self.module, self.gens, self.den,
                 self.syz, _frozen(self.syz_gens), _frozen(self.components),
                 None if self.children is None else frozenset(self.children.items()))
         if self._checked is None or self._checked[0] != data:
-            self._checked = (data, self._violations(max_ideal, cover))
+            self._checked = (data, self._violations(max_ideal, cover, spans))
         return [f"{where}: {msg}" for msg in self._checked[1]]
 
-    def _violations(self, max_ideal, cover):
+    def _violations(self, max_ideal, cover, spans):
         ring = self.module.ring
         mu = len(self.gens)
         span_gens = list(self.gens)
@@ -414,7 +416,7 @@ class SummandType:
         bad = []
         if self.key is not None and self.module.basis != self.key:
             bad.append("the module is not the one its key names")
-        if submodule_span(ring, self.module.p, span_gens).basis != self.module.basis:
+        if _span_basis(ring, self.module.p, span_gens, spans) != self.module.basis:
             bad.append("generators do not span the module")
         if self.syz is None:
             return bad
@@ -432,9 +434,9 @@ class SummandType:
             image_size //= self.den.size()
         if self.syz.size() * image_size != ring.order() ** mu:
             bad.append("cardinality bookkeeping fails")
-        return bad + self._split_issues(cover)
+        return bad + self._split_issues(cover, spans)
 
-    def _split_issues(self, cover):
+    def _split_issues(self, cover, spans):
         """Violations of the kernel's split, and of exactness by placement.
 
         The kernel is never re-spanned whole.  Once the slot checks pass,
@@ -469,7 +471,7 @@ class SummandType:
         placed = []
         for (slots, key), group in zip(self.components, groups):
             restricted = [tuple(row[s] for s in slots) for row in group]
-            if submodule_span(ring, len(slots), restricted).basis != key:
+            if _span_basis(ring, len(slots), restricted, spans) != key:
                 return ["a component does not span its summand type"]
             for row, (j, _) in zip(key.rows, key.pivots):
                 flat = [0] * (mu * d)
@@ -482,6 +484,17 @@ class SummandType:
         if self.children != Counter(key for _, key in self.components):
             return ["child multiplicities disagree with the components"]
         return []
+
+
+def _span_basis(ring, p, gens, spans):
+    """Howell basis of submodule_span(ring, p, gens), memoized in spans on
+    (p, the generators' coordinate tuples).  spans belongs to one
+    validate() call, over one ring, so the ring is not in the key."""
+    key = (p, tuple(tuple(e.coords for e in g) for g in gens))
+    basis = spans.get(key)
+    if basis is None:
+        basis = spans[key] = submodule_span(ring, p, gens).basis
+    return basis
 
 
 def _frozen(items):
@@ -610,12 +623,18 @@ class Resolution:
         stored kernel's rows, so the kernel generators span the stored
         kernel.  Last, the multiplicities and Betti numbers are recomputed
         from the children.  A type checked before on identical data, by any
-        validation, is not checked again.
+        validation, is not checked again.  Each distinct span is computed
+        once per call: a memo keyed on (ambient rank, the generators'
+        coordinate tuples) holds its Howell basis, and every check still
+        compares that basis with its own expected one (the module's, or
+        the key).  The memo is dropped when the call returns, so it is
+        never shared across calls, tables or rings.
         """
         mx = self.max_ideal
-        bad = self.root.issues(mx, "target", cover=False)
+        spans = {}
+        bad = self.root.issues(mx, "target", cover=False, spans=spans)
         for n, t in enumerate(self.types):
-            bad += t.issues(mx, f"type {n}", cover=True)
+            bad += t.issues(mx, f"type {n}", cover=True, spans=spans)
         if len(self.root.gens) != self.betti[0]:
             bad.append("betti_0 is not the number of target generators")
         lookup = {t.key: t for t in self.types}

@@ -6,11 +6,12 @@
 
 Each mutant changes one token of the file given by --path: ``<`` and
 ``<=``, ``>`` and ``>=``, ``+`` and ``-``, ``==`` and ``!=``, ``//`` and
-``%``, ``and`` and ``or`` swap, and the number 0 becomes 1 and 1 becomes 0.  --function keeps the tokens inside
-the named functions or methods (repeatable); a name that matches none
-exits 2.  Without it the whole file is mutated.  --limit draws that many
-mutants, seeded by --seed; without it every mutant runs, in file order.
---list prints the mutants and runs nothing.
+``%``, ``and`` and ``or``, ``True`` and ``False``, ``is`` and ``is not``
+swap, and the number 0 becomes 1 and 1 becomes 0.  --function keeps the
+tokens inside the named functions or methods (repeatable); a name that
+matches none exits 2.  Without it the whole file is mutated.  --limit
+draws that many mutants, seeded by --seed; without it every mutant runs,
+in file order.  --list prints the mutants and runs nothing.
 
 The repository is copied once into a temporary directory.  Each mutant is
 written into the copy, one at a time, and ``pytest -x`` runs there on the
@@ -36,7 +37,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SWAPS = {"<": "<=", "<=": "<", ">": ">=", ">=": ">", "+": "-", "-": "+",
          "==": "!=", "!=": "==", "//": "%", "%": "//", "and": "or",
-         "or": "and", "0": "1", "1": "0"}
+         "or": "and", "True": "False", "False": "True", "is": "is not",
+         "0": "1", "1": "0"}
 IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache",
                                  ".hypothesis", "out")
 
@@ -52,15 +54,22 @@ def mutants(source, names=()):
     """(line, col, token, replacement) for every mutable token, in file
     order; only inside the named functions when names are given."""
     ranges = function_lines(source, names) if names else None
+    lines = source.splitlines()
+    tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
     out = []
-    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
-        # the keywords and, or are NAME tokens; no identifier is spelt so
+    for tok, after in zip(tokens, tokens[1:]):
+        # the keywords and, or, True, False, is are NAME tokens; no
+        # identifier is spelt so
         if (tok.type not in (tokenize.OP, tokenize.NUMBER, tokenize.NAME)
                 or tok.string not in SWAPS):
             continue
         line, col = tok.start
+        token, replacement = tok.string, SWAPS[tok.string]
+        if token == "is" and after.string == "not" and after.start[0] == line:
+            # `is not` is two tokens; it becomes `is` as one mutant
+            token, replacement = lines[line - 1][col:after.end[1]], "is"
         if ranges is None or any(a <= line <= b for a, b in ranges):
-            out.append((line, col, tok.string, SWAPS[tok.string]))
+            out.append((line, col, token, replacement))
     return out
 
 

@@ -595,6 +595,22 @@ def test_validate_reports_a_component_slot_overlapping_or_outside(slot):
                 in res.validate())
 
 
+def test_validate_reports_a_kernel_generator_straddling_two_components():
+    # the sum of a generator on slot 0 and one on slot 1 is still in the
+    # kernel, so only the split tells it apart
+    for res, t, where in _corruptible():
+        first = next(row for row in t.syz_gens if not row[0].is_zero())
+        second = next(row for row in t.syz_gens if not row[1].is_zero())
+        t.syz_gens[t.syz_gens.index(first)] = tuple(a + b for a, b in zip(first, second))
+        assert f"{where} a kernel generator straddles components" in res.validate()
+
+
+def test_validate_reports_components_that_do_not_cover():
+    for res, t, where in _corruptible():
+        t.components = t.components[:1]
+        assert f"{where} components do not cover R^2" in res.validate()
+
+
 def test_validate_reports_swapped_component_slots(instances):
     # trunc_t3's syzygies split into components with different keys
     inst = instances["trunc_t3"]
@@ -625,11 +641,11 @@ def test_validation_never_respans_a_split_kernel_whole(instances, monkeypatch):
             wide.append(p)
         return span(ring, p, gens)
 
-    def watched_violations(self, max_ideal, cover):
+    def watched_violations(self, max_ideal, cover, spans):
         checking.append(self)
         split.append(len(self.components) > 1)
         try:
-            return violations(self, max_ideal, cover)
+            return violations(self, max_ideal, cover, spans)
         finally:
             checking.pop()
 
@@ -637,6 +653,92 @@ def test_validation_never_respans_a_split_kernel_whole(instances, monkeypatch):
     monkeypatch.setattr(SummandType, "_violations", watched_violations)
     assert res.validate() == []
     assert any(split) and wide == []
+
+
+# -- one span memo per validate() call ---------------------------------------------
+
+def _span_pair(p, gens):
+    return p, tuple(tuple(e.coords for e in g) for g in gens)
+
+
+def _span_calls(monkeypatch):
+    """A list of lists: each validate() call the caller opens with
+    calls.append([]) collects there the _span_pair of every
+    submodule_span it makes."""
+    from amalgam import modules
+    calls, span = [], modules.submodule_span
+
+    def counted(ring, p, gens):
+        gens = list(gens)
+        calls[-1].append(_span_pair(p, gens))
+        return span(ring, p, gens)
+
+    monkeypatch.setattr(modules, "submodule_span", counted)
+    return calls
+
+
+def _equal_components_type(inst):
+    """A fresh M |><| J resolution and its first type whose kernel splits
+    into two components with equal keys."""
+    _, mx = inst.ring_local()
+    res = minimal_resolution(inst.ring, inst.mj, mx, depth=4)
+    n, t = next((n, t) for n, t in enumerate(res.types)
+                if len(t.components) > 1 and t.components[0][1] == t.components[1][1])
+    return res, n, t
+
+
+def _corrupt_second_component(t):
+    """Replace the last generator of t's second component by its first,
+    so that component spans less than its key, while every other check
+    (complex, minimality, cardinality, placement) still passes."""
+    slots = set(t.components[1][0])
+    rows = [i for i, row in enumerate(t.syz_gens)
+            if any(not row[s].is_zero() for s in slots)]
+    assert len(rows) > 1
+    t.syz_gens[rows[-1]] = t.syz_gens[rows[0]]
+
+
+def test_each_validation_spans_each_distinct_pair_once(instances, monkeypatch):
+    # the resolve_block resolutions: a type's module check spans what its
+    # parent's component check spanned, and equal components span equal
+    # groups; each validate() call spans each distinct (p, vectors) once,
+    # and a pair two validations share is spanned once in each
+    resolutions = []
+    for name, target, depth in (("dup_z4", "mj", 14), ("tower_dim1", "mj", 9),
+                                ("tower_dim2", "mj", 7), ("tower_dim2", "zero_j", 7)):
+        inst = instances[name]
+        _, mx = inst.ring_local()
+        resolutions.append(minimal_resolution(inst.ring, getattr(inst, target), mx,
+                                              depth=depth))
+    calls = _span_calls(monkeypatch)
+    for res in resolutions:
+        calls.append([])
+        assert res.validate() == []
+    assert all(len(made) == len(set(made)) for made in calls)
+    assert sum(map(len, calls)) == 5
+    assert len(set(calls[2]) & set(calls[3])) == 1
+
+
+def test_the_span_memo_does_not_hide_one_of_two_equal_components(instances):
+    # the first component's group fills the memo with the key's basis;
+    # the corrupted second group has other vectors, so it is spanned anew
+    res, n, t = _equal_components_type(instances["dup_z4"])
+    _corrupt_second_component(t)
+    assert res.validate() == [f"type {n}: a component does not span its summand type"]
+
+
+def test_the_span_memo_lives_for_one_validation(instances, monkeypatch):
+    # the second call spans the corrupted type's own generators again:
+    # nothing the first call spanned is kept
+    res, n, t = _equal_components_type(instances["dup_z4"])
+    calls = _span_calls(monkeypatch)
+    calls.append([])
+    assert res.validate() == []
+    _corrupt_second_component(t)
+    calls.append([])
+    assert res.validate() == [f"type {n}: a component does not span its summand type"]
+    own = _span_pair(t.module.p, t.gens)
+    assert own in calls[0] and own in calls[1]
 
 
 # -- one type table shared by every resolution over a ring -----------------------
@@ -875,13 +977,13 @@ def test_a_ringdsl_run_checks_each_type_state_once(monkeypatch, name):
     checked = []
     full = SummandType._violations
 
-    def counted(self, max_ideal, cover):
+    def counted(self, max_ideal, cover, spans):
         state = (max_ideal, cover, self.key, self.module, self.gens, self.den,
                  self.syz, _copied(self.syz_gens), _copied(self.components),
                  _copied(self.children))
         assert not any(t is self and s == state for t, s in checked)
         checked.append((self, state))
-        return full(self, max_ideal, cover)
+        return full(self, max_ideal, cover, spans)
 
     monkeypatch.setattr(SummandType, "_violations", counted)
     assert _check(name) == 0
