@@ -552,8 +552,7 @@ def trivial_extension(r, spec):
                 i, tuple(int(t == j - d) for t in range(k)))
         return zero_r + zero_e
 
-    char = lcm(r.char, *spec.orders) if spec.orders else r.char
-    return ring_from_products(char, r.orders + spec.orders, r.unit + zero_e,
+    return ring_from_products(r.char, r.orders + spec.orders, r.unit + zero_e,
                               mul, r.labels + spec.labels, f"{r.name}|xE")
 
 

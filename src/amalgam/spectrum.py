@@ -4,8 +4,12 @@ The nilradical is computed without element enumeration: for every prime p
 dividing the characteristic, the q-power map (q a power of p) is additive
 on R/pR, and for q >= dim R/pR its kernel is Nil(R/pR): a linear-algebra
 problem over Z/p whose matrix is read off the ring's own q-th powers of
-its basis.  The nilradical is the intersection of the preimages across
-primes.  It is cached on the ring.
+its basis.  The nilradical is the intersection of the preimages S_p of
+the Nil(R/pR).  Each S_p contains pR, hence the CRT parts of R at the
+other primes, so that intersection is the sum of the c_p * S_p, c_p the
+CRT idempotent of p's prime power p^e.  That sum is one span of every
+S_p generator times N/p^e, which spans what c_p does: it is c_p times a
+unit mod p^e.  It is cached on the ring.
 
 Locality is one rank over F_p.  A characteristic with two prime factors
 splits R by CRT.  Otherwise the characteristic is p^k, p lies in Nil(R),
@@ -100,8 +104,8 @@ def nilradical(r):
 def _nilradical_basis(r):
     n = r.char
     d = r.rank
-    spans = []
-    for p in prime_factors(n):
+    builder = span_builder(n, d)
+    for p, e in prime_factors(n).items():
         # R/pR lives on the coordinates whose order p divides; x -> x^q
         # kills its nilpotents once q >= dim R/pR (and q >= p)
         alive = [i for i in range(d) if r.orders[i] % p == 0]
@@ -111,41 +115,22 @@ def _nilradical_basis(r):
         images = _frobenius(r, q)
         ker = kernel(ZnMatrix.from_rows(
             p, [[images[i][j] for j in alive] for i in alive], len(alive)))
-        builder = span_builder(n, d)
+        # S_p is spanned by the kernel's lifts and pR (see the module
+        # docstring for the sum)
+        cofactor = n // p ** e
+        gens = []
         for row in ker.rows:
             coords = [0] * d
             for idx, i in enumerate(alive):
                 coords[i] = row[idx] % r.orders[i]
-            builder.insert(list(r.scaled(tuple(coords))))
+            gens.append(coords)
         for i in range(d):
             coords = [0] * d
             coords[i] = p % r.orders[i]
-            builder.insert(list(r.scaled(tuple(coords))))
-        spans.append(builder.basis())
-    basis = spans[0]
-    for other in spans[1:]:
-        basis = _span_intersection(n, basis, other)
-    return basis
-
-
-def _span_intersection(n, b1, b2):
-    if not b1.rows:
-        return b1
-    if not b2.rows:
-        return b2
-    ambient = b1.ambient
-    rows = [list(x) for x in b1.rows] + [list(x) for x in b2.rows]
-    ker = kernel(ZnMatrix.from_rows(n, rows, ambient))
-    out = span_builder(n, ambient)
-    r1 = len(b1.rows)
-    for row in ker.rows:
-        vec = [0] * ambient
-        for c, src in zip(row[:r1], b1.rows):
-            if c:
-                for i, e in enumerate(src):
-                    vec[i] = (vec[i] + c * e) % n
-        out.insert(vec)
-    return out.basis()
+            gens.append(coords)
+        for coords in gens:
+            builder.insert([cofactor * x % n for x in r.scaled(tuple(coords))])
+    return builder.basis()
 
 
 # -- element-level analysis -----------------------------------------------------

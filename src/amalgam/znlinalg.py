@@ -13,10 +13,6 @@ echelon form does not give canonical answers; the Howell form does:
 Two matrices have the same row span iff they have the identical Howell form,
 which makes span equality, membership and kernel computations decidable and
 canonical.  All vectors are row vectors; kernels are left kernels.
-
-Two engines sit behind one API: a generic one for arbitrary N (lists of
-ints), and a bitmask engine for N = 2 where rows are Python ints and row
-operations are single xors.  Both produce the same canonical tuples.
 """
 
 from math import gcd, prod
@@ -248,6 +244,8 @@ class _GenericBuilder:
 
     def contains(self, vec):
         n = self.n
+        if len(vec) != self.ncols:
+            raise DimensionMismatch(f"vector length {len(vec)} != {self.ncols}")
         rows = self.rows
         v = [e % n for e in vec]
         for j in range(self.ncols):
@@ -283,79 +281,10 @@ class _GenericBuilder:
         return self._basis
 
 
-class _Gf2Builder:
-    """Howell accumulator over Z/2: rows are ints, bit j = column j.
-
-    Over a field the Howell form degenerates to the reduced row echelon
-    form (all pivots are 1 and saturation is vacuous), so insertion is a
-    plain xor-elimination.  This is the hot path for characteristic-2 rings.
-    """
-
-    def __init__(self, modulus, ncols):
-        assert modulus == 2
-        self.n = 2
-        self.ncols = ncols
-        self.rows = {}
-        self._basis = None
-
-    def _pack(self, vec):
-        if len(vec) != self.ncols:
-            raise DimensionMismatch(f"vector length {len(vec)} != {self.ncols}")
-        m = 0
-        for j, e in enumerate(vec):
-            if e & 1:
-                m |= 1 << j
-        return m
-
-    def insert(self, vec):
-        v = self._pack(vec)
-        rows = self.rows
-        while v:
-            j = (v & -v).bit_length() - 1
-            piv = rows.get(j)
-            if piv is None:
-                rows[j] = v
-                break
-            v ^= piv
-        self._basis = None
-
-    def contains(self, vec):
-        v = self._pack(vec)
-        rows = self.rows
-        while v:
-            j = (v & -v).bit_length() - 1
-            piv = rows.get(j)
-            if piv is None:
-                return False
-            v ^= piv
-        return True
-
-    def basis(self):
-        if self._basis is not None:
-            return self._basis
-        cols = sorted(self.rows)
-        reduced = dict(self.rows)
-        for j in cols:
-            prow = reduced[j]
-            for i in cols:
-                if i >= j:
-                    break
-                if reduced[i] >> j & 1:
-                    reduced[i] ^= prow
-        out = []
-        for j in cols:
-            m = reduced[j]
-            out.append(tuple((m >> t) & 1 for t in range(self.ncols)))
-        self._basis = HowellBasis(2, self.ncols, out)
-        return self._basis
-
-
 def span_builder(modulus, ncols):
-    """Incremental span accumulator; dispatches on the modulus."""
+    """Incremental span accumulator over Z/modulus, for every modulus."""
     if not 2 <= modulus <= MAX_MODULUS:
         raise ValueError(f"modulus must be in [2, 2^31], got {modulus}")
-    if modulus == 2:
-        return _Gf2Builder(modulus, ncols)
     return _GenericBuilder(modulus, ncols)
 
 
@@ -366,50 +295,34 @@ def howell_from_rows(modulus, rows, ncols):
     return b.basis()
 
 
-def _augmented_howell(m):
-    """Howell form of [m | I]: its rows span the pairs (x*m, x)."""
-    n, r, c = m.modulus, m.rows, m.cols
-    aug = []
-    for i in range(r):
-        row = list(m.row(i)) + [0] * r
-        row[c + i] = 1
-        aug.append(row)
-    return howell_from_rows(n, aug, c + r)
-
-
-def kernel(m):
-    """Canonical basis of the left kernel {x : x*m = 0 (mod N)}.
-
-    Computed from the Howell form of [m | I]: rows of that span are the
-    pairs (x*m, x), and by the saturation property the rows whose leading
-    m-part vanishes form a Howell basis of exactly the kernel.
-    """
-    c = m.cols
-    out = [row[c:] for row in _augmented_howell(m).rows if not any(row[:c])]
-    return HowellBasis(m.modulus, m.rows, out)
-
-
 class Solver:
     """x*m = b for any number of right-hand sides b, factoring m once.
 
-    The factorization is the Howell form of [m | I], kept as its rows with
-    a pivot in the m-part and the left kernel of m (the other rows, see
-    kernel).  Each solve is one greedy reduction of b along the former,
-    which accumulates a particular solution x (particular), and one
-    reduction of x modulo the kernel.
+    The factorization is the Howell form of [m | I], whose rows span the
+    pairs (x*m, x).  Its rows with a pivot in the m-part are kept as
+    reducers; by the saturation property the other rows, whose m-part
+    vanishes, form a Howell basis of exactly the left kernel of m.  Each
+    solve is one greedy reduction of b along the reducers, which
+    accumulates a particular solution x (particular), and one reduction
+    of x modulo the kernel.
     """
 
     __slots__ = ("cols", "kernel", "_reducers")
 
     def __init__(self, m):
-        n, c = m.modulus, m.cols
-        h = _augmented_howell(m)
+        n, r, c = m.modulus, m.rows, m.cols
+        aug = []
+        for i in range(r):
+            row = list(m.row(i)) + [0] * r
+            row[c + i] = 1
+            aug.append(row)
+        h = howell_from_rows(n, aug, c + r)
         self.cols = c
         # pivot columns increase, so the m-part pivots come first
         self._reducers = [(j, a, row[:c], row[c:])
                           for row, (j, a) in zip(h.rows, h.pivots) if j < c]
         self.kernel = HowellBasis(
-            n, m.rows, [row[c:] for row in h.rows[len(self._reducers):]])
+            n, r, [row[c:] for row in h.rows[len(self._reducers):]])
 
     def solve(self, b):
         """The canonical solution x of x*m = b, or None.
@@ -442,3 +355,9 @@ class Solver:
         if any(v):
             return None
         return x
+
+
+def kernel(m):
+    """Canonical basis of the left kernel {x : x*m = 0 (mod N)}: the
+    kernel of m's Solver factorization."""
+    return Solver(m).kernel

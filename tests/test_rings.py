@@ -190,12 +190,15 @@ def test_nilradical_examples():
 
 def test_nilradical_matches_bruteforce():
     # the truncations of rank 5, 9 and 4 need x -> x^q with q = 8, 16 and 9,
-    # a third Frobenius power or more
+    # a third Frobenius power or more; the last four mix two primes, so
+    # the nilradical is summed from its CRT parts
     z4 = zmod(4)
+    z4_z2 = trivial_extension(z4, ModuleSpec(z4, [2], [[[1]]]))
     rings = [z4, zmod(6), zmod(8), zmod(9), zmod(12), trunc_poly(2, 3),
              trunc_poly(3, 2), trunc_poly(2, 5), trunc_poly(2, 9),
-             trunc_poly(3, 4), product(zmod(4), zmod(2)),
-             trivial_extension(z4, ModuleSpec(z4, [2], [[[1]]]))]
+             trunc_poly(3, 4), product(zmod(4), zmod(2)), z4_z2,
+             zmod(36), product(trunc_poly(2, 3), zmod(9)),
+             product(zmod(4), trunc_poly(3, 2)), product(z4_z2, zmod(3))]
     for ring in rings:
         nil = nilradical(ring)
         brute = {x.coords for x in ring.elements() if is_nilpotent(x)}
